@@ -232,6 +232,19 @@ class DiscreteDist:
         return total
 
 
+def _wire_value(atom, key: str) -> Fraction:
+    """One exact value of a witness atom: a "p/q" string or a JSON number."""
+    if not isinstance(atom, dict) or key not in atom:
+        raise ValueError(f'each witness atom must be an object with "point" and "weight", got {atom!r}')
+    value = atom[key]
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"witness atom {key} must be a p/q string or a number, got {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"witness atom {key} {value!r} is not a finite rational") from None
+
+
 @dataclass(frozen=True)
 class WitnessSystem:
     """n distributions with pairwise-disjoint supports, certifying a tuple
@@ -270,11 +283,18 @@ class WitnessSystem:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "WitnessSystem":
-        dists = tuple(
-            DiscreteDist(tuple((Fraction(a["point"]), Fraction(a["weight"])) for a in atoms))
-            for atoms in data["dists"]
-        )
-        system = cls(dists)
+        """Parse the wire form of ``to_json_dict``; malformed input raises
+        ValueError."""
+        dists = data.get("dists") if isinstance(data, dict) else None
+        if not isinstance(dists, list):
+            raise ValueError('witness JSON needs a "dists" list')
+        parsed = []
+        for atoms in dists:
+            if not isinstance(atoms, list):
+                raise ValueError("each witness distribution must be a list of atoms")
+            pairs = tuple((_wire_value(a, "point"), _wire_value(a, "weight")) for a in atoms)
+            parsed.append(DiscreteDist(pairs))
+        system = cls(tuple(parsed))
         if "n" in data and data["n"] != system.n:
             raise ValueError(f"declared n={data['n']} but found {system.n} distributions")
         return system

@@ -4,7 +4,9 @@ Work is partitioned into chunks of contiguous global sample indices, and
 each sample's coordinates come from a fixed slice of the counter-based
 stream, so the estimate is a pure function of (target, samples, seed):
 rerunning, or re-partitioning into a different number of chunks, is
-bit-identical.  Chunks reduce by exact integer counts.
+bit-identical.  Chunks reduce by exact integer counts, and they run on
+at most ``os.cpu_count()`` threads, so the chunk count fixes the result
+and the machine only fixes how many chunks run at once.
 
 For n >= 4 the cyclic region has no exact membership test, so
 ``pn_bracket`` reports a two-sided bracket: the fraction *provably* cyclic
@@ -16,6 +18,7 @@ are never resolved heuristically.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -165,7 +168,7 @@ def estimate(spec: EstimatorSpec) -> MCEstimate | dict[str, MCEstimate]:
     """
     ranges = _chunk_ranges(spec.samples, spec.chunks)
     if spec.chunks > 1:
-        with ThreadPoolExecutor(max_workers=min(spec.chunks, 8)) as pool:
+        with ThreadPoolExecutor(max_workers=min(spec.chunks, os.cpu_count() or 1)) as pool:
             results = list(pool.map(lambda r: _count_chunk(spec, *r), ranges))
     else:
         results = [_count_chunk(spec, *r) for r in ranges]

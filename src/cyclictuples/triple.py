@@ -11,6 +11,11 @@ the exact decision, membership tests for the standard sub-regions, the
 closed-form volumes, the order-statistic densities of a uniform random
 cyclic triple, their summary statistics, and a rejection sampler.
 
+The criterion is invariant under all six permutations of (x, y, z), so the
+sampler sorts each uniform cube point and then accepts it if it is cyclic:
+that samples the ordered region x <= y <= z uniformly at acceptance p3,
+about 0.628, rather than the p3/6 of rejecting unsorted points.
+
 The constant ``OMEGA = (sqrt(5)-1)/2`` (positive root of w^2 + w = 1)
 appears throughout: it is both the largest possible minimum coordinate of
 a cyclic triple and the right endpoint of the smallest-element density's
@@ -300,21 +305,49 @@ def ordered_cyclic_mask(points: np.ndarray) -> np.ndarray:
     )
 
 
-def sample_ordered_cyclic(count: int, seed: int, batch: int = 1 << 20) -> np.ndarray:
-    """Draw ``count`` points uniform on the ordered cyclic region by
-    rejection from the unit cube (acceptance rate p3/6, about 0.105).
+def _sort_rows(pts: np.ndarray) -> None:
+    """Sort each row of an N x 3 array in place with an exact min/max
+    network (no arithmetic, so every value is kept bit for bit)."""
+    a, b, c = pts[:, 0], pts[:, 1], pts[:, 2]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    mid = np.maximum(lo, np.minimum(hi, c))
+    np.minimum(lo, c, out=a)
+    np.maximum(hi, c, out=c)
+    b[:] = mid
 
-    Deterministic for fixed (count, seed).  Returns an array of shape
-    (count, 3) with rows satisfying x <= y <= z.
+
+def sample_ordered_cyclic(count: int, seed: int, batch: int = 1 << 20) -> np.ndarray:
+    """Draw ``count`` points uniform on the ordered cyclic region.
+
+    Each uniform cube point is sorted and then accepted if it lies in the
+    ordered cyclic region (``ordered_cyclic_mask``).  Cyclicity does not
+    depend on the order of the coordinates, so this is uniform on the
+    region at acceptance rate p3, about 0.628.  Each draw asks for about
+    as many rows as the remaining request needs, so small requests draw
+    few random words.
+
+    The output is the first ``count`` accepted rows of the seed's stream,
+    in stream order: deterministic for fixed (count, seed).  ``batch``
+    caps the rows drawn at once, and so the memory used; it does not
+    change the output.  Returns an array of shape (count, 3) with rows
+    satisfying x <= y <= z.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if batch < 1:
+        raise ValueError("batch must be >= 1")
     stream = UniformStream(seed)
-    blocks: list[np.ndarray] = []
+    out = np.empty((count, 3))
     have = 0
     while have < count:
-        pts = stream.next_matrix(batch, 3)
-        accepted = pts[ordered_cyclic_mask(pts)]
-        blocks.append(accepted)
+        need = count - have
+        # The accepted count of n rows is Binomial(n, p3) with standard
+        # deviation below sqrt(need) at n ~ need/p3, so asking for four
+        # deviations more makes a second draw rare.
+        rows = min(batch, int((need + 4.0 * math.sqrt(need) + 8.0) / P3))
+        pts = stream.next_matrix(rows, 3)
+        _sort_rows(pts)
+        accepted = pts[ordered_cyclic_mask(pts)][:need]
+        out[have : have + len(accepted)] = accepted
         have += len(accepted)
-    return np.vstack(blocks)[:count]
+    return out

@@ -171,3 +171,30 @@ class TestReport:
         assert data["symmetry"]["pass"] is True
         assert data["alternating"]["A_1_to_10"][-1] == 50521
         assert data["alternating"]["andre_bound_max_ratio"] <= 1.0
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--target", "p3", "--samples", "inf"],
+            ["estimate", "--target", "p3", "--samples", "1e400"],
+            ["estimate", "--target", "p3", "--samples", "nan"],
+            ["histogram", "--which", "f1", "--samples", "1e9"],
+        ],
+        ids=["inf", "1e400", "nan", "histogram_1e9"],
+    )
+    def test_bad_samples_exit_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "--samples" in err and "Traceback" not in err
+
+    def test_empty_witness_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text("{}")
+        code = main(["check", "--tuple", "0.6,0.5,0.3,0.4", "--verify-witness", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "dists" in err and "Traceback" not in err

@@ -165,6 +165,25 @@ class TestWitnessSystem:
         again = WitnessSystem.from_json_dict(w.to_json_dict())
         assert again == w
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {},
+            [],
+            {"dists": 3},
+            {"dists": [3, 4, 5]},
+            {"dists": [[{"point": "1/2"}]]},
+            {"dists": [["1/2"]]},
+            {"dists": [[{"point": None, "weight": "1"}]]},
+            {"dists": [[{"point": "1/2", "weight": [1]}]]},
+            {"dists": [[{"point": "1/0", "weight": "1"}]]},
+            {"dists": [[{"point": "a", "weight": "1"}]]},
+        ],
+    )
+    def test_malformed_json_rejected(self, data):
+        with pytest.raises(ValueError):
+            WitnessSystem.from_json_dict(data)
+
     def test_n_mismatch_rejected(self):
         w, _ = __import__("cyclictuples").efron_dice()
         data = w.to_json_dict()

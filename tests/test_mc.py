@@ -1,10 +1,12 @@
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats as scistats
 
+from cyclictuples import mc
 from cyclictuples.mc import EstimatorSpec, estimate, histogram
 from cyclictuples.ntuple import pn_bounds, vol_dn_star
 from cyclictuples.triple import OMEGA, P3, P3_STAR, VOL_C3_I, VOL_C3_II, density
@@ -49,6 +51,21 @@ class TestDeterminism:
         b = estimate(EstimatorSpec(target="pn_bracket", samples=50_000, seed=1, chunks=5, n=5))
         assert a["lower"].estimate == b["lower"].estimate
         assert a["upper"].estimate == b["upper"].estimate
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        asked = []
+
+        class RecordingPool(mc.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                asked.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        base = estimate(EstimatorSpec(target="p3", samples=10_001, seed=3, chunks=1))
+        again = estimate(EstimatorSpec(target="p3", samples=10_001, seed=3, chunks=7))
+        assert asked == [2]
+        assert again.estimate == base.estimate
 
     def test_seed_changes_result(self):
         a = estimate(EstimatorSpec(target="p3", samples=100_000, seed=1))

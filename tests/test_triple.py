@@ -4,10 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import integrate
+from scipy import integrate, stats as scistats
 
+from cyclictuples import triple
 from cyclictuples.core import InvalidTupleError, ProbTuple, Reason, Status, complement
-from cyclictuples.rng import uniform_matrix
+from cyclictuples.rng import UniformStream, uniform_matrix
 from cyclictuples.triple import (
     F1_BREAKPOINTS,
     GOLDEN,
@@ -243,6 +244,43 @@ class TestSampler:
         a = sample_ordered_cyclic(3000, seed=4, batch=1 << 20)
         b = sample_ordered_cyclic(3000, seed=4, batch=1 << 12)
         assert np.array_equal(a, b)
+
+    def test_output_independent_of_batch_cap(self):
+        ref = sample_ordered_cyclic(2000, seed=21)
+        for batch in (1, 7, 4096, 1 << 20):
+            assert np.array_equal(sample_ordered_cyclic(2000, seed=21, batch=batch), ref)
+
+    def test_small_request_draws_few_words(self, monkeypatch):
+        drawn = []
+
+        class CountingStream(UniformStream):
+            def next_matrix(self, count, dim):
+                drawn.append(count * dim)
+                return super().next_matrix(count, dim)
+
+        monkeypatch.setattr(triple, "UniformStream", CountingStream)
+        for seed in range(20):
+            drawn.clear()
+            sample_ordered_cyclic(1000, seed=seed)
+            assert sum(drawn) <= 2 * 3000 / P3
+
+    def test_columns_match_cube_rejection(self):
+        # The old sampler: unsorted cube points kept only if already
+        # ordered and cyclic, at acceptance p3/6.
+        cube = np.random.default_rng(2012).random((2_200_000, 3))
+        x, y, z = cube[:, 0], cube[:, 1], cube[:, 2]
+        xb, yb, zb = 1.0 - x, 1.0 - y, 1.0 - z
+        keep = (
+            (x <= y)
+            & (y <= z)
+            & (np.minimum(np.minimum(x + y * z, y + z * x), z + x * y) <= 1.0)
+            & (np.minimum(np.minimum(xb + yb * zb, yb + zb * xb), zb + xb * yb) <= 1.0)
+        )
+        reference = cube[keep][:200_000]
+        assert len(reference) == 200_000
+        pts = sample_ordered_cyclic(200_000, seed=13)
+        for col in range(3):
+            assert scistats.ks_2samp(pts[:, col], reference[:, col]).pvalue > 1e-3
 
     def test_marginal_means(self):
         pts = sample_ordered_cyclic(200_000, seed=12)
