@@ -50,6 +50,9 @@ def _emit(obj) -> None:
 
 # sample_ordered_cyclic holds every row it returns: 10^8 rows are 2.4 GB.
 HISTOGRAM_MAX_SAMPLES = 10**8
+# report's histograms draw 1e6 * scale rows, so scale 100 meets the cap above.
+REPORT_MAX_SCALE = 100
+DENSITY_MAX_GRID = 10**6
 
 
 def _samples(text: str) -> int:
@@ -63,6 +66,20 @@ def _histogram_samples(text: str) -> int:
     value = _samples(text)
     if value > HISTOGRAM_MAX_SAMPLES:
         raise argparse.ArgumentTypeError(f"samples must be at most 1e8, got {text!r}")
+    return value
+
+
+def _samples_scale(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and 0 < value <= REPORT_MAX_SCALE):
+        raise argparse.ArgumentTypeError(f"scale must be in (0, {REPORT_MAX_SCALE}], got {text!r}")
+    return value
+
+
+def _grid(text: str) -> int:
+    value = int(text)
+    if not 1 <= value <= DENSITY_MAX_GRID:
+        raise argparse.ArgumentTypeError(f"grid must be in [1, {DENSITY_MAX_GRID}], got {text!r}")
     return value
 
 
@@ -213,6 +230,17 @@ def _report_witnesses(count: int, seed: int) -> dict:
     }
 
 
+def _report_histograms(samples: int, seed: int) -> dict:
+    pts = triple.sample_ordered_cyclic(samples, seed)
+    section = {}
+    for which in ("f1", "f2"):
+        grid = mc.bin_sample(which, pts, 50)
+        sup = max(abs(v - triple.density(which, x)) for x, v in grid.points())
+        section[which] = {"samples": samples, "bins": 50, "sup_norm_error": sup}
+    section["f1_mass_above_omega"] = float((pts[:, 0] > triple.OMEGA).sum())
+    return section
+
+
 def cmd_report(args) -> int:
     """One composite JSON covering every acceptance-level quantity."""
     scale = args.samples_scale
@@ -258,14 +286,7 @@ def cmd_report(args) -> int:
         "baseline": triple.unrestricted_min_stats(),
     }
 
-    hist_section = {}
-    for which in ("f1", "f2"):
-        grid_h = mc.histogram(which, n_mid, 50, seed)
-        sup = max(abs(v - triple.density(which, x)) for x, v in grid_h.points())
-        hist_section[which] = {"samples": n_mid, "bins": 50, "sup_norm_error": sup}
-    mass = float((triple.sample_ordered_cyclic(n_mid, seed)[:, 0] > triple.OMEGA).sum())
-    hist_section["f1_mass_above_omega"] = mass
-    report["histograms"] = hist_section
+    report["histograms"] = _report_histograms(n_mid, seed)
 
     dn = {}
     for n in (3, 4, 5, 6):
@@ -350,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="density grid as CSV on stdout")
     p.add_argument("--which", choices=["f1", "f2", "f3", "all"], default="all")
-    p.add_argument("--grid", type=int, default=1000)
+    p.add_argument("--grid", type=_grid, default=1000, help="grid points, 1 to 1e6")
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("stats", help="mean/median/mode of a density")
@@ -365,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, choices=list(mc.SINGLE_TARGETS + mc.BRACKET_TARGETS))
     p.add_argument("--samples", type=_samples, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--chunks", type=int, default=1)
+    p.add_argument("--chunks", type=int, default=1, help="chunks, 1 to 1024; fixes the result")
     p.add_argument("--n", type=int, default=None)
     p.set_defaults(func=cmd_estimate)
 
@@ -377,14 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=1_000_000,
         help="rows to sample, at most 1e8 (2.4 GB of samples)",
     )
-    p.add_argument("--bins", type=int, default=50)
+    p.add_argument("--bins", type=int, default=50, help="bins, 10 to 1e6")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_histogram)
 
     p = sub.add_parser("report", help="composite JSON over every verified quantity")
-    p.add_argument("--samples-scale", type=float, default=1.0, help="scale factor on sample counts")
+    p.add_argument("--samples-scale", type=_samples_scale, default=1.0, help="scale on sample counts, in (0, 100]")
     p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--chunks", type=int, default=4)
+    p.add_argument("--chunks", type=int, default=4, help="chunks, 1 to 1024")
     p.set_defaults(func=cmd_report)
 
     return parser

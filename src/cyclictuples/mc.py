@@ -13,6 +13,12 @@ For n >= 4 the cyclic region has no exact membership test, so
 (mixed adjacent sums) and one minus the fraction *provably* not cyclic
 (min above pi_n, or max below 1 - pi_n); Unknowns widen the bracket and
 are never resolved heuristically.
+
+No region is written here.  Each target calls its predicate from
+``triple`` (``cyclic``, ``nontransitive``, ``c3_i``, ``c3_ii``,
+``ordered_cyclic``) or ``ntuple`` (``d_star``; for the bracket ``d_i``,
+``d_ii`` and the pi_n tests) on the columns of a block of points, the same
+functions that decide single tuples.
 """
 
 from __future__ import annotations
@@ -24,12 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ntuple, triple
 from .core import DensityGrid, MCEstimate
-from .ntuple import _pi_n_upper
-from .triple import OMEGA, ordered_cyclic_mask, sample_ordered_cyclic
 from .rng import uniform_matrix
+from .triple import sample_ordered_cyclic
 
 _BATCH = 1 << 20  # samples per generated block, caps memory per worker
+MAX_CHUNKS = 1024  # each chunk is one task and one (start, stop) pair
+MAX_BINS = 10**6
+_COLUMNS = {"f1": 0, "f2": 1, "f3": 2}  # histogram's density -> sample column
 
 SINGLE_TARGETS = ("p3", "p3_star", "vol_C3_I", "vol_C3_II", "vol_C3_ordered", "vol_Dn_star")
 BRACKET_TARGETS = ("pn_bracket",)
@@ -50,8 +59,8 @@ class EstimatorSpec:
             raise ValueError(f"unknown target {self.target!r}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.chunks < 1:
-            raise ValueError("chunks must be >= 1")
+        if not 1 <= self.chunks <= MAX_CHUNKS:
+            raise ValueError(f"chunks must be in [1, {MAX_CHUNKS}], got {self.chunks}")
         if self.target == "vol_Dn_star":
             if self.n is None or self.n < 3:
                 raise ValueError("vol_Dn_star requires n >= 3")
@@ -66,57 +75,19 @@ class EstimatorSpec:
         return 3 if self.n is None else self.n
 
 
-def _mask_cyclic3(pts: np.ndarray) -> np.ndarray:
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    first = np.minimum(np.minimum(x + y * z, y + z * x), z + x * y) <= 1.0
-    xb, yb, zb = 1.0 - x, 1.0 - y, 1.0 - z
-    second = np.minimum(np.minimum(xb + yb * zb, yb + zb * xb), zb + xb * yb) <= 1.0
-    return first & second
-
-
-def _mask_nontransitive3(pts: np.ndarray) -> np.ndarray:
-    return _mask_cyclic3(pts) & (pts.min(axis=1) > 0.5)
-
-
-def _mask_c3_i(pts: np.ndarray) -> np.ndarray:
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    return (
-        (x > 0.5)
-        & (x <= OMEGA)
-        & (x <= y)
-        & (x * y <= 1.0 - x)
-        & (x <= z)
-        & (y * z <= 1.0 - x)
-    )
-
-
-def _mask_c3_ii(pts: np.ndarray) -> np.ndarray:
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    low_x = x < 0.5
-    branch1 = low_x & (y > 0.5) & (y <= 1.0 - x) & (z > 0.5)
-    branch2 = low_x & (y > 1.0 - x) & (z > 0.5) & (y * z <= 1.0 - x)
-    return branch1 | branch2
-
-
-def _mask_dn_star(pts: np.ndarray) -> np.ndarray:
-    sums = pts + np.roll(pts, -1, axis=1)
-    return (sums < 1.0).all(axis=1) & (pts[:, 0] <= pts.min(axis=1))
-
-
-_MASKS = {
-    "p3": _mask_cyclic3,
-    "p3_star": _mask_nontransitive3,
-    "vol_C3_I": _mask_c3_i,
-    "vol_C3_II": _mask_c3_ii,
-    "vol_C3_ordered": ordered_cyclic_mask,
-    "vol_Dn_star": _mask_dn_star,
+_PREDICATES = {
+    "p3": triple.cyclic,
+    "p3_star": triple.nontransitive,
+    "vol_C3_I": triple.c3_i,
+    "vol_C3_II": triple.c3_ii,
+    "vol_C3_ordered": triple.ordered_cyclic,
+    "vol_Dn_star": ntuple.d_star,
 }
 
 
-def _bracket_counts(pts: np.ndarray, pi_up: float) -> tuple[int, int]:
-    sums = pts + np.roll(pts, -1, axis=1)
-    cyclic = (sums >= 1.0).any(axis=1) & (sums <= 1.0).any(axis=1)
-    not_cyclic = (pts.min(axis=1) > pi_up) | (pts.max(axis=1) < 1.0 - pi_up)
+def _bracket_counts(cols) -> tuple[int, int]:
+    cyclic = ~(ntuple.d_i(*cols) | ntuple.d_ii(*cols))
+    not_cyclic = ntuple.min_above_pi_n(*cols) | ntuple.max_below_one_minus_pi_n(*cols)
     return int(cyclic.sum()), int(not_cyclic.sum())
 
 
@@ -132,20 +103,17 @@ def _chunk_ranges(samples: int, chunks: int) -> list[tuple[int, int]]:
 
 
 def _count_chunk(spec: EstimatorSpec, start: int, stop: int) -> tuple[int, ...]:
-    dim = spec.dim
     single = spec.target != "pn_bracket"
-    mask_fn = _MASKS.get(spec.target)
-    pi_up = None if single else _pi_n_upper(spec.n)
     hits = 0
     misses = 0
     pos = start
     while pos < stop:
         count = min(_BATCH, stop - pos)
-        pts = uniform_matrix(spec.seed, pos, count, dim)
+        cols = uniform_matrix(spec.seed, pos, count, spec.dim).T
         if single:
-            hits += int(mask_fn(pts).sum())
+            hits += int(_PREDICATES[spec.target](*cols).sum())
         else:
-            c, nc = _bracket_counts(pts, pi_up)
+            c, nc = _bracket_counts(cols)
             hits += c
             misses += nc
         pos += count
@@ -188,15 +156,19 @@ def histogram(which: str, samples: int, bins: int, seed: int) -> DensityGrid:
     Coordinate 0/1/2 of the ordered sample estimates f1/f2/f3.  Bin
     heights are normalized so the histogram integrates to 1.
     """
-    columns = {"f1": 0, "f2": 1, "f3": 2}
-    if which not in columns:
+    if which not in _COLUMNS:
         raise ValueError(f"unknown density {which!r}")
-    if bins < 10:
-        raise ValueError("bins must be >= 10")
+    if not 10 <= bins <= MAX_BINS:
+        raise ValueError(f"bins must be in [10, {MAX_BINS}], got {bins}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    pts = sample_ordered_cyclic(samples, seed)
-    counts, edges = np.histogram(pts[:, columns[which]], bins=bins, range=(0.0, 1.0))
+    return bin_sample(which, sample_ordered_cyclic(samples, seed), bins)
+
+
+def bin_sample(which: str, pts: np.ndarray, bins: int) -> DensityGrid:
+    """``histogram`` of an ordered sample ``pts`` already drawn, so one
+    sample can serve f1, f2 and f3."""
+    counts, edges = np.histogram(pts[:, _COLUMNS[which]], bins=bins, range=(0.0, 1.0))
     width = 1.0 / bins
     centers = (edges[:-1] + edges[1:]) / 2.0
-    return DensityGrid(which=which, xs=centers, values=counts / (samples * width))
+    return DensityGrid(which=which, xs=centers, values=counts / (len(pts) * width))

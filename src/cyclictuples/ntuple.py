@@ -6,11 +6,17 @@ No complete characterization of cyclic n-tuples is known for n >= 4, so
 ``decide_ntuple`` is honestly three-valued there: Cyclic verdicts carry an
 exactly verified witness, NotCyclic verdicts follow from the pi_n
 necessity threshold, and everything else is Unknown.
+
+The D-regions (``d_i``, ``d_ii``, ``d_star``) and the pi_n necessity tests
+(``min_above_pi_n``, ``max_below_one_minus_pi_n``) are predicates of the
+coordinates written with + - * and comparisons joined by &, so ``in_dn``
+and ``decide_ntuple`` call them on scalars and ``mc`` on numpy columns.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,15 +36,6 @@ from .core import (
 from .triple import is_cyclic_triple
 
 
-@dataclass(frozen=True)
-class PiN:
-    """The largest achievable minimum coordinate of a cyclic n-tuple:
-    pi_n = 1 - 1/(4 cos^2(pi/(n+2))), increasing to 3/4."""
-
-    n: int
-    value: float
-
-
 def pi_n(n: int) -> float:
     """Evaluate pi_n; rejects n < 3.  pi_3 = (sqrt(5)-1)/2, pi_4 = 2/3."""
     if n < 3:
@@ -47,6 +44,7 @@ def pi_n(n: int) -> float:
     return 1.0 - 1.0 / (4.0 * c * c)
 
 
+@functools.cache
 def _pi_n_upper(n: int) -> float:
     # Conservative cover of the float-evaluation error of pi_n, so the
     # necessity filter can never misclassify a boundary tuple (e.g. the
@@ -69,21 +67,54 @@ def _as_ntuple(t: ProbTuple | Sequence[Number]) -> ProbTuple:
     return t
 
 
-def in_dn(t: ProbTuple | Sequence[Number], tag: DnRegionTag) -> bool:
-    """Strict-inequality membership in D_I / D_II / D_star.
+def _all(conditions):
+    # & rather than all(), so numpy columns give a mask; a scalar False
+    # stops early, so later conditions are never evaluated
+    result = True
+    for c in conditions:
+        result = result & c
+        if result is False:
+            break
+    return result
 
-    For D_star, ties for the minimum count as membership (a measure-zero
-    convention)."""
-    t = _as_ntuple(t)
-    tag = DnRegionTag(tag)
-    sums = t.adjacent_sums()
-    if tag is DnRegionTag.D_II:
-        return all(s > 1 for s in sums)
-    if not all(s < 1 for s in sums):
-        return False
-    if tag is DnRegionTag.D_I:
-        return True
-    return t.values[0] <= min(t.values)
+
+def _adjacent_sums(xs):
+    return [a + b for a, b in zip(xs, xs[1:] + xs[:1])]
+
+
+def d_i(*xs):
+    """D_I: every adjacent sum x_i + x_{i+1} is below 1."""
+    return _all(s < 1 for s in _adjacent_sums(xs))
+
+
+def d_ii(*xs):
+    """D_II: every adjacent sum x_i + x_{i+1} is above 1."""
+    return _all(s > 1 for s in _adjacent_sums(xs))
+
+
+def d_star(*xs):
+    """D*_n: D_I with x_1 minimal (ties count, a measure-zero convention)."""
+    return d_i(*xs) & _all(xs[0] <= x for x in xs)
+
+
+def min_above_pi_n(*xs):
+    """Every coordinate exceeds pi_n, so the tuple is not cyclic."""
+    threshold = _pi_n_upper(len(xs))
+    return _all(x > threshold for x in xs)
+
+
+def max_below_one_minus_pi_n(*xs):
+    """Every coordinate is below 1 - pi_n, so the tuple is not cyclic."""
+    threshold = 1.0 - _pi_n_upper(len(xs))
+    return _all(x < threshold for x in xs)
+
+
+DN_PREDICATES = {DnRegionTag.D_I: d_i, DnRegionTag.D_II: d_ii, DnRegionTag.D_STAR: d_star}
+
+
+def in_dn(t: ProbTuple | Sequence[Number], tag: DnRegionTag) -> bool:
+    """Strict-inequality membership in D_I / D_II / D_star."""
+    return bool(DN_PREDICATES[DnRegionTag(tag)](*_as_ntuple(t).values))
 
 
 def _exact(v: Number) -> Fraction:
@@ -203,10 +234,9 @@ def decide_ntuple(t: ProbTuple | Sequence[Number], with_witness: bool = True) ->
     if t.n == 3:
         return is_cyclic_triple(t)
 
-    threshold = _pi_n_upper(t.n)
-    if min(t.values) > threshold:
+    if min_above_pi_n(*t.values):
         return Verdict(Status.NOT_CYCLIC, Reason.MIN_EXCEEDS_PI_N)
-    if max(t.values) < 1.0 - threshold:
+    if max_below_one_minus_pi_n(*t.values):
         return Verdict(Status.NOT_CYCLIC, Reason.MAX_BELOW_ONE_MINUS_PI_N)
 
     index = _updown_index(t.values)
@@ -219,37 +249,19 @@ def decide_ntuple(t: ProbTuple | Sequence[Number], with_witness: bool = True) ->
     return Verdict(Status.UNKNOWN, Reason.UNDECIDED)
 
 
-@dataclass(frozen=True)
-class AlternatingCounts:
-    """Exact counts A_1..A_max of up-down alternating permutations
-    (x_1 < x_2 > x_3 < ...), computed by the boustrophedon recurrence."""
-
-    table: tuple[int, ...]  # table[n] = A_n, with table[0] = 1 by convention
-
-    @classmethod
-    def up_to(cls, nmax: int) -> "AlternatingCounts":
-        counts = [1]
-        row = [1]
-        for n in range(1, nmax + 1):
-            new = [0]
-            for k in range(1, n + 1):
-                new.append(new[k - 1] + row[n - k])
-            row = new
-            counts.append(row[-1])
-        return cls(tuple(counts))
-
-
-_ALT_CACHE = AlternatingCounts.up_to(32)
-
-
+@functools.cache
 def alternating_count(n: int) -> int:
-    """A_n, the number of up-down alternating permutations of length n."""
+    """A_n, the number of up-down alternating permutations of length n
+    (x_1 < x_2 > x_3 < ...), by the boustrophedon recurrence."""
     if n < 1:
         raise ValueError(f"alternating_count requires n >= 1, got {n}")
-    global _ALT_CACHE
-    if n >= len(_ALT_CACHE.table):
-        _ALT_CACHE = AlternatingCounts.up_to(max(n, 2 * len(_ALT_CACHE.table)))
-    return _ALT_CACHE.table[n]
+    row = [1]
+    for m in range(1, n + 1):
+        new = [0]
+        for k in range(1, m + 1):
+            new.append(new[k - 1] + row[m - k])
+        row = new
+    return row[-1]
 
 
 def andre_series(n: int, terms: int) -> float:

@@ -11,6 +11,13 @@ the exact decision, membership tests for the standard sub-regions, the
 closed-form volumes, the order-statistic densities of a uniform random
 cyclic triple, their summary statistics, and a rejection sampler.
 
+Each region is written once, here, as a predicate of (x, y, z): ``cyclic``
+(from ``trybula``), ``nontransitive``, ``c3_i``, ``c3_ii`` and
+``ordered_cyclic``.  They use only + - * and comparisons joined by & and |,
+so one function decides Fraction scalars exactly, float scalars in
+``is_cyclic_triple`` and ``in_region``, and numpy columns in the sampler
+and in ``mc``.
+
 The criterion is invariant under all six permutations of (x, y, z), so the
 sampler sorts each uniform cube point and then accepts it if it is cyclic:
 that samples the ordered region x <= y <= z uniformly at acceptance p3,
@@ -26,8 +33,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -44,21 +49,7 @@ from .numeric import adaptive_simpson, bisect_root, golden_max, integrate_piecew
 from .rng import UniformStream
 
 _SQRT5 = math.sqrt(5.0)
-
-
-@dataclass(frozen=True)
-class GoldenConstant:
-    """The golden-ratio conjugate, positive root of w^2 + w = 1."""
-
-    omega: float
-
-    @property
-    def one_minus_omega(self) -> float:
-        return 1.0 - self.omega
-
-
-GOLDEN = GoldenConstant(omega=(_SQRT5 - 1.0) / 2.0)
-OMEGA = GOLDEN.omega
+OMEGA = (_SQRT5 - 1.0) / 2.0
 ONE_MINUS_OMEGA = (3.0 - _SQRT5) / 2.0
 
 # Closed-form volumes: vol_II = 3/16 - ln(2)/8 and
@@ -70,6 +61,57 @@ P3 = 11.0 * _SQRT5 / 4.0 - 17.0 / 4.0 - 6.0 * math.log(_SQRT5 - 1.0)
 P3_STAR = 11.0 * _SQRT5 / 8.0 - 43.0 / 16.0 - 3.0 * math.log(_SQRT5 - 1.0) + 3.0 * math.log(2.0) / 8.0
 
 
+def trybula(x, y, z):
+    """Trybula's first inequality, min(x + yz, y + zx, z + xy) <= 1.  The
+    second is the same inequality on (1-x, 1-y, 1-z)."""
+    return (x + y * z <= 1) | (y + z * x <= 1) | (z + x * y <= 1)
+
+
+def cyclic(x, y, z):
+    """The cyclic region C3: both of Trybula's inequalities hold."""
+    return trybula(x, y, z) & trybula(1 - x, 1 - y, 1 - z)
+
+
+def nontransitive(x, y, z):
+    """The nontransitive region C3*: cyclic with every coordinate above 1/2."""
+    return cyclic(x, y, z) & (x > 0.5) & (y > 0.5) & (z > 0.5)
+
+
+def c3_i(x, y, z):
+    """C3_I: cyclic, 1/2 < x <= OMEGA, x <= y, x <= z.  Products replace
+    quotients (y <= (1-x)/x becomes x*y <= 1-x) and x <= OMEGA is written
+    x*x + x <= 1, so no constant is rounded."""
+    return (
+        (x > 0.5)
+        & (x * x + x <= 1)
+        & (x <= y)
+        & (x * y <= 1 - x)
+        & (x <= z)
+        & (y * z <= 1 - x)
+    )
+
+
+def c3_ii(x, y, z):
+    """C3_II: cyclic, x < 1/2 < y, z."""
+    return (
+        (x < 0.5)
+        & (z > 0.5)
+        & (((y > 0.5) & (y <= 1 - x)) | ((y > 1 - x) & (y * z <= 1 - x)))
+    )
+
+
+def ordered_cyclic(x, y, z):
+    """The ordered cyclic region: x <= y <= z, x + yz <= 1 and
+    (1-z) + (1-x)(1-y) <= 1, which is Trybula's criterion on sorted
+    coordinates."""
+    return (
+        (x <= y)
+        & (y <= z)
+        & (x + y * z <= 1)
+        & ((1 - z) + (1 - x) * (1 - y) <= 1)
+    )
+
+
 class TripleRegion(str, enum.Enum):
     """Sub-regions of the unit cube used in the volume computation."""
 
@@ -78,6 +120,15 @@ class TripleRegion(str, enum.Enum):
     C3_I = "C3_I"              # cyclic, 1/2 < x <= 1, x <= y,z <= 1
     C3_II = "C3_II"            # cyclic, 0 <= x < 1/2 < y,z <= 1
     C3_ORDERED = "C3_ordered"  # cyclic with x <= y <= z
+
+
+REGION_PREDICATES = {
+    TripleRegion.C3: cyclic,
+    TripleRegion.C3_STAR: nontransitive,
+    TripleRegion.C3_I: c3_i,
+    TripleRegion.C3_II: c3_ii,
+    TripleRegion.C3_ORDERED: ordered_cyclic,
+}
 
 
 def _as_triple(t: ProbTuple | Sequence[Number]) -> ProbTuple:
@@ -96,69 +147,22 @@ def is_cyclic_triple(t: ProbTuple | Sequence[Number]) -> Verdict:
     when the verdict is NotCyclic.
     """
     x, y, z = _as_triple(t).values
-    if min(x + y * z, y + z * x, z + x * y) > 1:
+    if not trybula(x, y, z):
         return Verdict(Status.NOT_CYCLIC, Reason.TRYBULA_INEQ1_FAILS)
-    xb, yb, zb = 1 - x, 1 - y, 1 - z
-    if min(xb + yb * zb, yb + zb * xb, zb + xb * yb) > 1:
+    if not trybula(1 - x, 1 - y, 1 - z):
         return Verdict(Status.NOT_CYCLIC, Reason.TRYBULA_INEQ2_FAILS)
     return Verdict(Status.CYCLIC, Reason.TRYBULA_BOTH_HOLD)
 
 
 def is_nontransitive_triple(t: ProbTuple | Sequence[Number]) -> bool:
     """Cyclic with every coordinate strictly above 1/2."""
-    t = _as_triple(t)
-    if not min(t.values) > Fraction(1, 2):
-        return False
-    return is_cyclic_triple(t).status is Status.CYCLIC
-
-
-def _le_omega(v: Number) -> bool:
-    # v <= omega  <=>  v^2 + v <= 1 for v >= 0; exact for rationals.
-    return v * v + v <= 1
+    return bool(nontransitive(*_as_triple(t).values))
 
 
 def in_region(t: ProbTuple | Sequence[Number], region: TripleRegion) -> bool:
-    """Membership test for the named sub-region.
-
-    Products replace quotients (y <= (1-x)/x becomes x*y <= 1-x, valid on
-    the stated ranges), so exact rational inputs are decided exactly.
-    """
-    t = _as_triple(t)
-    x, y, z = t.values
-    region = TripleRegion(region)
-    if region is TripleRegion.C3:
-        return is_cyclic_triple(t).status is Status.CYCLIC
-    if region is TripleRegion.C3_STAR:
-        return is_nontransitive_triple(t)
-    if region is TripleRegion.C3_I:
-        return (
-            2 * x > 1
-            and _le_omega(x)
-            and x <= y
-            and x * y <= 1 - x
-            and x <= z
-            and y * z <= 1 - x
-        )
-    if region is TripleRegion.C3_II:
-        if not (2 * x < 1 and 2 * z > 1):
-            return False
-        if 2 * y > 1 and y <= 1 - x:
-            return z <= 1
-        if y > 1 - x:
-            return y * z <= 1 - x
-        return False
-    # C3_ordered, via the smallest-variable characterization:
-    # 0 <= x <= omega, x <= y <= sqrt(1-x),
-    # max(y, (1-x)(1-y)) <= z <= min(1, (1-x)/y).
-    return (
-        _le_omega(x)
-        and x <= y
-        and y * y <= 1 - x
-        and z >= y
-        and z >= (1 - x) * (1 - y)
-        and z <= 1
-        and y * z <= 1 - x
-    )
+    """Membership test for the named sub-region; exact rational inputs
+    are decided exactly."""
+    return bool(REGION_PREDICATES[TripleRegion(region)](*_as_triple(t).values))
 
 
 def exact_volumes() -> dict[str, float]:
@@ -293,18 +297,6 @@ def unrestricted_min_stats() -> dict[str, float]:
     return {"mean": 0.25, "median": 1.0 - 2.0 ** (-1.0 / 3.0)}
 
 
-def ordered_cyclic_mask(points: np.ndarray) -> np.ndarray:
-    """Vectorized membership of rows of ``points`` (N x 3) in the ordered
-    cyclic region x <= y <= z, x + yz <= 1, (1-z) + (1-x)(1-y) <= 1."""
-    x, y, z = points[:, 0], points[:, 1], points[:, 2]
-    return (
-        (x <= y)
-        & (y <= z)
-        & (x + y * z <= 1.0)
-        & ((1.0 - z) + (1.0 - x) * (1.0 - y) <= 1.0)
-    )
-
-
 def _sort_rows(pts: np.ndarray) -> None:
     """Sort each row of an N x 3 array in place with an exact min/max
     network (no arithmetic, so every value is kept bit for bit)."""
@@ -320,7 +312,7 @@ def sample_ordered_cyclic(count: int, seed: int, batch: int = 1 << 20) -> np.nda
     """Draw ``count`` points uniform on the ordered cyclic region.
 
     Each uniform cube point is sorted and then accepted if it lies in the
-    ordered cyclic region (``ordered_cyclic_mask``).  Cyclicity does not
+    ordered cyclic region (``ordered_cyclic``).  Cyclicity does not
     depend on the order of the coordinates, so this is uniform on the
     region at acceptance rate p3, about 0.628.  Each draw asks for about
     as many rows as the remaining request needs, so small requests draw
@@ -347,7 +339,7 @@ def sample_ordered_cyclic(count: int, seed: int, batch: int = 1 << 20) -> np.nda
         rows = min(batch, int((need + 4.0 * math.sqrt(need) + 8.0) / P3))
         pts = stream.next_matrix(rows, 3)
         _sort_rows(pts)
-        accepted = pts[ordered_cyclic_mask(pts)][:need]
+        accepted = pts[ordered_cyclic(*pts.T)][:need]
         out[have : have + len(accepted)] = accepted
         have += len(accepted)
     return out

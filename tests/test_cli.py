@@ -198,3 +198,76 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert "dists" in err and "Traceback" not in err
+
+
+def test_report_draws_one_sample(capsys, monkeypatch):
+    from cyclictuples import mc, triple
+
+    calls = []
+    sampler = triple.sample_ordered_cyclic
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sampler(*args, **kwargs)
+
+    monkeypatch.setattr(triple, "sample_ordered_cyclic", counting)
+    monkeypatch.setattr(mc, "sample_ordered_cyclic", counting)
+    code = main(["report", "--samples-scale", "0.002", "--seed", "7"])
+    capsys.readouterr()
+    assert code == 0 and calls == [(2000, 7)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--samples-scale", "inf"],
+        ["histogram", "--which", "f1", "--bins", "10000000"],
+        ["density", "--grid", "10000000"],
+        ["estimate", "--target", "p3", "--chunks", "100000"],
+    ],
+    ids=["scale_inf", "bins", "grid", "chunks"],
+)
+def test_caps_exit_two(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2 and "error" in err and "Traceback" not in err
+
+
+# Each subcommand's numeric flags, with arguments that keep a valid run small
+# and single-threaded.  Every fuzzed report value is rejected before it runs;
+# report's --seed is left out, since a valid report starts worker threads.
+FUZZ_FLAGS = [
+    (["estimate", "--target", "p3", "--samples", "1000"], "--samples", None),
+    (["estimate", "--target", "p3", "--samples", "1000"], "--seed", None),
+    (["estimate", "--target", "p3", "--samples", "1000"], "--chunks", "1025"),
+    (["estimate", "--target", "vol_Dn_star", "--samples", "1000"], "--n", None),
+    (["histogram", "--which", "f1", "--samples", "1000"], "--samples", "100000001"),
+    (["histogram", "--which", "f1", "--samples", "1000"], "--bins", "1000001"),
+    (["histogram", "--which", "f1", "--samples", "1000"], "--seed", None),
+    (["density", "--which", "f1"], "--grid", "1000001"),
+    (["report", "--samples-scale", "0.001"], "--samples-scale", "100.00001"),
+    (["report", "--samples-scale", "0.001"], "--chunks", "1025"),
+    (["bounds"], "--n", None),
+    (["witness", "--tuple", "0.6,0.5,0.3,0.4"], "--index", None),
+]
+FUZZ_VALUES = ["inf", "nan", "-1", "0", "1e400"]
+
+
+@pytest.mark.parametrize(
+    "base, flag, over_cap", FUZZ_FLAGS, ids=[f"{b[0]}{f}" for b, f, _ in FUZZ_FLAGS]
+)
+def test_numeric_flag_fuzz(capsys, base, flag, over_cap):
+    values = FUZZ_VALUES + ([over_cap] if over_cap else [])
+    for value in values:
+        try:
+            code = main(base + [flag, value])
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in {0, 1, 2, 3}, (flag, value)
+        assert "Traceback" not in err, (flag, value)
+        if value == over_cap:
+            assert code == 2 and "error" in err, (flag, value)

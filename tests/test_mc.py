@@ -168,3 +168,21 @@ class TestHistogram:
             histogram("f1", 1000, 5, seed=0)
         with pytest.raises(ValueError):
             histogram("f1", 0, 20, seed=0)
+
+    def test_caps_checked_before_sampling(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before the arguments were checked")
+
+        monkeypatch.setattr(mc, "sample_ordered_cyclic", no_sampling)
+        with pytest.raises(ValueError):
+            histogram("f1", 1000, mc.MAX_BINS + 1, seed=0)
+        with pytest.raises(ValueError):
+            EstimatorSpec(target="p3", samples=10, seed=0, chunks=mc.MAX_CHUNKS + 1)
+        EstimatorSpec(target="p3", samples=10, seed=0, chunks=mc.MAX_CHUNKS)
+
+    def test_bin_sample_matches_histogram(self):
+        pts = mc.sample_ordered_cyclic(5_000, 4)
+        for which in ("f1", "f2", "f3"):
+            a = histogram(which, 5_000, 30, seed=4)
+            b = mc.bin_sample(which, pts, 30)
+            assert np.array_equal(a.xs, b.xs) and np.array_equal(a.values, b.values)
