@@ -3,7 +3,8 @@
 Every operation is exposed with machine-readable output: JSON for
 decisions, witnesses, statistics, bounds, and estimates; CSV for density
 grids and histograms.  Exit codes for ``check``: 0 Cyclic, 1 NotCyclic,
-3 Unknown; usage errors exit 2.
+3 Unknown; ``report`` exits 1 when one of its checks fails; usage errors
+exit 2.
 """
 
 from __future__ import annotations
@@ -11,24 +12,19 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import random
 import sys
 from fractions import Fraction
 
 import numpy as np
 
-from . import mc, ntuple, triple
+from . import checks, mc, ntuple, triple
 from .core import (
     HypothesisNotMetError,
     InvalidTupleError,
-    ProbTuple,
     Status,
     WitnessSystem,
-    complement,
     format_tuple,
     parse_tuple,
-    reverse,
-    rotate,
 )
 
 STATUS_EXIT = {Status.CYCLIC: 0, Status.NOT_CYCLIC: 1, Status.UNKNOWN: 3}
@@ -135,9 +131,6 @@ def cmd_stats(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.n < 4:
-        print(f"error: bounds requires n >= 4, got {args.n}", file=sys.stderr)
-        return 2
     _emit(ntuple.pn_bounds(args.n).to_dict())
     return 0
 
@@ -165,183 +158,28 @@ def cmd_histogram(args) -> int:
     return 0
 
 
-def _random_rational_tuple(rnd: random.Random, n: int) -> ProbTuple:
-    values = []
-    for _ in range(n):
-        q = rnd.randint(1, 99)
-        values.append(Fraction(rnd.randint(0, q), q))
-    return ProbTuple(tuple(values))
-
-
-def _report_symmetry(samples: int, seed: int) -> dict:
-    rnd = random.Random(seed)
-    triple_bad = 0
-    for _ in range(samples // 2):
-        t = ProbTuple(tuple(rnd.random() for _ in range(3)))
-        base = triple.is_cyclic_triple(t).status
-        x, y, z = t.values
-        perms = [(x, z, y), (y, x, z), (y, z, x), (z, x, y), (z, y, x)]
-        if any(triple.is_cyclic_triple(ProbTuple(p)).status is not base for p in perms):
-            triple_bad += 1
-        if triple.is_cyclic_triple(complement(t)).status is not base:
-            triple_bad += 1
-    ntuple_bad = 0
-    exempt = 0
-    for _ in range(samples // 2):
-        n = rnd.randint(4, 8)
-        t = ProbTuple(tuple(rnd.random() for _ in range(n)))
-        base = ntuple.decide_ntuple(t, with_witness=False).status
-        for u in (rotate(t, rnd.randrange(1, n)), reverse(t), complement(t)):
-            other = ntuple.decide_ntuple(u, with_witness=False).status
-            if Status.UNKNOWN in (base, other):
-                exempt += 1
-            elif other is not base:
-                ntuple_bad += 1
-    return {
-        "samples": samples,
-        "triple_violations": triple_bad,
-        "ntuple_violations": ntuple_bad,
-        "unknown_exempted": exempt,
-        "pass": triple_bad == 0 and ntuple_bad == 0,
-    }
-
-
-def _report_witnesses(count: int, seed: int) -> dict:
-    rnd = random.Random(seed)
-    built = 0
-    failures = 0
-    while built < count:
-        t = _random_rational_tuple(rnd, rnd.randint(4, 10))
-        try:
-            witness = ntuple.build_witness(t)
-        except HypothesisNotMetError:
-            continue
-        built += 1
-        if not ntuple.verify_witness(witness, t):
-            failures += 1
-    efron_w, efron_t = ntuple.efron_dice()
-    moon_w, moon_t = ntuple.moon_moser_dice()
-    return {
-        "random_tuples_verified": built - failures,
-        "random_tuples_failed": failures,
-        "efron_verifies": ntuple.verify_witness(efron_w, efron_t),
-        "moon_moser_verifies": ntuple.verify_witness(moon_w, moon_t),
-        "pass": failures == 0,
-    }
-
-
-def _report_histograms(samples: int, seed: int) -> dict:
-    pts = triple.sample_ordered_cyclic(samples, seed)
-    section = {}
-    for which in ("f1", "f2"):
-        grid = mc.bin_sample(which, pts, 50)
-        sup = max(abs(v - triple.density(which, x)) for x, v in grid.points())
-        section[which] = {"samples": samples, "bins": 50, "sup_norm_error": sup}
-    section["f1_mass_above_omega"] = float((pts[:, 0] > triple.OMEGA).sum())
-    return section
-
-
 def cmd_report(args) -> int:
-    """One composite JSON covering every acceptance-level quantity."""
-    scale = args.samples_scale
-    seed = args.seed
+    """One composite JSON of every acceptance-level quantity; exits 1 if a check fails."""
+    scale, seed, chunks = args.samples_scale, args.seed, args.chunks
     n_big = max(1000, int(1e7 * scale))
     n_mid = max(1000, int(1e6 * scale))
     n_sym = max(200, int(1e5 * scale))
     n_wit = max(20, int(1000 * scale))
-    report: dict = {}
-
-    vols = triple.exact_volumes()
-    report["exact_volumes"] = {
-        **vols,
-        "identity_p3_star_rel_err": abs(3 * vols["vol_I"] - vols["p3_star"]) / vols["p3_star"],
-        "identity_p3_rel_err": abs(6 * (vols["vol_I"] + vols["vol_II"]) - vols["p3"]) / vols["p3"],
+    report = {
+        "exact_volumes": checks.exact_volumes(),
+        "mc_volumes": checks.mc_volumes(n_big, seed, chunks),
+        "densities": checks.densities(),
+        "f1_stats": checks.f1_stats(),
+        "histograms": checks.histograms(n_mid, seed),
+        "vol_Dn_star": {str(n): checks.dn_star_volume(n, n_big, seed, chunks) for n in (3, 4, 5, 6)},
+        "alternating": checks.alternating(),
+        "pn_brackets": {str(n): checks.pn_bracket(n, n_mid, seed, chunks) for n in range(4, 9)},
+        "witnesses": checks.witnesses(n_wit, seed),
+        "symmetry": checks.symmetry(n_sym, seed),
+        "determinism": checks.determinism(n_mid, seed, chunk_counts=(7,)),
     }
-
-    mc_section = {}
-    for target, truth in (("p3", vols["p3"]), ("p3_star", vols["p3_star"])):
-        est = mc.estimate(mc.EstimatorSpec(target=target, samples=n_big, seed=seed, chunks=args.chunks))
-        mc_section[target] = {
-            **est.to_dict(),
-            "closed_form": truth,
-            "sigmas_off": abs(est.estimate - truth) / est.stderr,
-        }
-    report["mc_volumes"] = mc_section
-
-    grid = np.linspace(0.0, 1.0, 1000)
-    sym_err = max(abs(triple.density("f2", x) - triple.density("f2", 1 - x)) for x in grid)
-    refl_err = max(abs(triple.density("f3", x) - triple.density("f1", 1 - x)) for x in grid)
-    report["densities"] = {
-        "normalization_error": {
-            w: abs(triple.integrate_density(w) - 1.0) for w in ("f1", "f2", "f3")
-        },
-        "f2_symmetry_max_err": sym_err,
-        "f3_reflection_max_err": refl_err,
-    }
-
-    stats = triple.density_stats("f1")
-    report["f1_stats"] = {
-        **stats,
-        "published": {"mean": 0.211, "median": 0.197, "mode": 0.107},
-        "baseline": triple.unrestricted_min_stats(),
-    }
-
-    report["histograms"] = _report_histograms(n_mid, seed)
-
-    dn = {}
-    for n in (3, 4, 5, 6):
-        exact = ntuple.vol_dn_star(n)
-        est = mc.estimate(
-            mc.EstimatorSpec(target="vol_Dn_star", samples=n_big, seed=seed, chunks=args.chunks, n=n)
-        )
-        dn[str(n)] = {
-            "exact": str(exact),
-            "exact_float": float(exact),
-            **est.to_dict(),
-            "sigmas_off": abs(est.estimate - float(exact)) / est.stderr,
-        }
-    report["vol_Dn_star"] = dn
-
-    counts = [ntuple.alternating_count(n) for n in range(1, 11)]
-    bound_ratio = max(
-        ntuple.alternating_count(n) / math.factorial(n) / (3 * (2 / math.pi) ** (n + 1))
-        for n in range(1, 31)
-    )
-    report["alternating"] = {"A_1_to_10": counts, "andre_bound_max_ratio": bound_ratio}
-
-    brackets = {}
-    for n in range(4, 9):
-        res = mc.estimate(
-            mc.EstimatorSpec(target="pn_bracket", samples=n_mid, seed=seed, chunks=args.chunks, n=n)
-        )
-        bounds = ntuple.pn_bounds(n)
-        lo, up = res["lower"], res["upper"]
-        brackets[str(n)] = {
-            "lower": lo.to_dict(),
-            "upper": up.to_dict(),
-            "bounds": bounds.to_dict(),
-            "consistent": bool(
-                lo.estimate <= up.estimate
-                and lo.estimate - 4 * lo.stderr <= bounds.upper
-                and up.estimate + 4 * up.stderr >= bounds.lower
-            ),
-        }
-    report["pn_brackets"] = brackets
-
-    report["witnesses"] = _report_witnesses(n_wit, seed)
-    report["symmetry"] = _report_symmetry(n_sym, seed)
-
-    spec = mc.EstimatorSpec(target="p3", samples=n_mid, seed=seed, chunks=1)
-    again = mc.EstimatorSpec(target="p3", samples=n_mid, seed=seed, chunks=1)
-    rechunk = mc.EstimatorSpec(target="p3", samples=n_mid, seed=seed, chunks=7)
-    e1, e2, e3 = mc.estimate(spec), mc.estimate(again), mc.estimate(rechunk)
-    report["determinism"] = {
-        "repeat_identical": e1.estimate == e2.estimate,
-        "chunk_invariant": e1.estimate == e3.estimate,
-    }
-
     _emit(report)
-    return 0
+    return 0 if checks.passed(report) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("bounds", help="closed-form bounds on p_n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help="tuple length, 4 to 1024")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("estimate", help="Monte Carlo estimate of a region volume")
@@ -387,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_samples, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--chunks", type=int, default=1, help="chunks, 1 to 1024; fixes the result")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=int, default=None, help="tuple length, at most 1024")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("histogram", help="empirical density of an order statistic as CSV")

@@ -115,19 +115,10 @@ class ProbTuple:
         n = len(v)
         return tuple(v[i] + v[(i + 1) % n] for i in range(n))
 
-    def min(self) -> Number:
-        return min(self.values)
-
-    def max(self) -> Number:
-        return max(self.values)
-
     def as_exact(self) -> "ProbTuple":
         """Convert every coordinate to an exact Fraction (floats convert
         losslessly, since every float is a dyadic rational)."""
         return ProbTuple(tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.values))
-
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(v) for v in self.values)
 
     def __str__(self) -> str:
         return format_tuple(self)

@@ -35,13 +35,14 @@ from .core import DensityGrid, MCEstimate
 from .rng import uniform_matrix
 from .triple import sample_ordered_cyclic
 
-_BATCH = 1 << 20  # samples per generated block, caps memory per worker
+_BLOCK_WORDS = 3 << 20  # random words per generated block, caps memory per worker
 MAX_CHUNKS = 1024  # each chunk is one task and one (start, stop) pair
 MAX_BINS = 10**6
 _COLUMNS = {"f1": 0, "f2": 1, "f3": 2}  # histogram's density -> sample column
 
 SINGLE_TARGETS = ("p3", "p3_star", "vol_C3_I", "vol_C3_II", "vol_C3_ordered", "vol_Dn_star")
 BRACKET_TARGETS = ("pn_bracket",)
+_SMALLEST_N = {"vol_Dn_star": 3, "pn_bracket": 4}  # n-tuple targets
 
 
 @dataclass(frozen=True)
@@ -61,12 +62,10 @@ class EstimatorSpec:
             raise ValueError("samples must be >= 1")
         if not 1 <= self.chunks <= MAX_CHUNKS:
             raise ValueError(f"chunks must be in [1, {MAX_CHUNKS}], got {self.chunks}")
-        if self.target == "vol_Dn_star":
-            if self.n is None or self.n < 3:
-                raise ValueError("vol_Dn_star requires n >= 3")
-        elif self.target == "pn_bracket":
-            if self.n is None or self.n < 4:
-                raise ValueError("pn_bracket requires n >= 4")
+        if self.target in _SMALLEST_N:
+            low = _SMALLEST_N[self.target]
+            if self.n is None or not low <= self.n <= ntuple.MAX_N:
+                raise ValueError(f"{self.target} requires n in [{low}, {ntuple.MAX_N}], got {self.n}")
         elif self.n is not None and self.n != 3:
             raise ValueError(f"target {self.target!r} is a triple quantity; n must be 3 or omitted")
 
@@ -106,9 +105,10 @@ def _count_chunk(spec: EstimatorSpec, start: int, stop: int) -> tuple[int, ...]:
     single = spec.target != "pn_bracket"
     hits = 0
     misses = 0
+    rows = _BLOCK_WORDS // spec.dim
     pos = start
     while pos < stop:
-        count = min(_BATCH, stop - pos)
+        count = min(rows, stop - pos)
         cols = uniform_matrix(spec.seed, pos, count, spec.dim).T
         if single:
             hits += int(_PREDICATES[spec.target](*cols).sum())

@@ -35,6 +35,11 @@ from .core import (
 )
 from .triple import is_cyclic_triple
 
+# Largest n that pn_bounds and the n-tuple Monte Carlo targets accept:
+# A_{n-1} costs O(n^2) big-integer additions (pn_bounds(1024) takes about
+# 0.25 s, pn_bounds(4000) about 14 s), and mc draws n words per sample.
+MAX_N = 1024
+
 
 def pi_n(n: int) -> float:
     """Evaluate pi_n; rejects n < 3.  pi_3 = (sqrt(5)-1)/2, pi_4 = 2/3."""
@@ -312,8 +317,8 @@ class PnBounds:
 def pn_bounds(n: int) -> PnBounds:
     """Closed-form bounds for p_n, n >= 4: the (2/pi)^n / (1/4)^n pair and
     the sharper intermediate bound 1 - A_{n-1}/(n-1)! it is derived from."""
-    if n < 4:
-        raise ValueError(f"pn_bounds requires n >= 4, got {n}")
+    if not 4 <= n <= MAX_N:
+        raise ValueError(f"pn_bounds requires n in [4, {MAX_N}], got {n}")
     lower = 1.0 - 3.0 * (2.0 / math.pi) ** n
     sharper = 1.0 - alternating_count(n - 1) / math.factorial(n - 1)
     upper = 1.0 - 2.0 * 0.25**n

@@ -174,7 +174,6 @@ def exact_volumes() -> dict[str, float]:
 # Density breakpoints.  At a breakpoint the left piece is evaluated; the
 # formulas are continuous there, so this only pins bit-reproducibility.
 F1_BREAKPOINTS = (ONE_MINUS_OMEGA, 0.5, OMEGA)
-F2_BREAKPOINTS = (ONE_MINUS_OMEGA, 0.5, 1.0 - ONE_MINUS_OMEGA)
 
 
 def _f1(x: float) -> float:

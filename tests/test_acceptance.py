@@ -1,39 +1,16 @@
 """Acceptance gate: one test per criterion, at the stated tolerances.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see one printed
-PASS line (with the measured numbers) per criterion.
+Every measured number comes from ``cyclictuples.checks``, the same
+functions behind ``cyclictuples report``; each test picks its sample size,
+seed and chunk count, and the tolerances and published constants it
+asserts live here.  Run with ``pytest tests/test_acceptance.py -v -s`` to
+see one printed PASS line (with the measured numbers) per criterion.
 """
 
 import math
-import random
-from fractions import Fraction
 from itertools import permutations
 
-import numpy as np
-
-from cyclictuples.core import ProbTuple, Status, complement, reverse, rotate
-from cyclictuples.mc import EstimatorSpec, estimate, histogram
-from cyclictuples.ntuple import (
-    HypothesisNotMetError,
-    alternating_count,
-    build_witness,
-    decide_ntuple,
-    efron_dice,
-    moon_moser_dice,
-    pn_bounds,
-    verify_witness,
-    vol_dn_star,
-)
-from cyclictuples.triple import (
-    OMEGA,
-    density,
-    density_stats,
-    exact_volumes,
-    integrate_density,
-    is_cyclic_triple,
-    sample_ordered_cyclic,
-    unrestricted_min_stats,
-)
+from cyclictuples import checks
 
 SEED = 20240810
 
@@ -43,69 +20,59 @@ def _ok(num: int, detail: str) -> None:
 
 
 def test_criterion_01_exact_volumes():
-    v = exact_volumes()
+    v = checks.exact_volumes()
     assert abs(v["p3"] - 0.6275748) <= 1e-6
     assert abs(v["p3_star"] - 0.0112175) <= 1e-6
-    rel_star = abs(3 * v["vol_I"] - v["p3_star"]) / v["p3_star"]
-    rel_p3 = abs(6 * (v["vol_I"] + v["vol_II"]) - v["p3"]) / v["p3"]
+    rel_star, rel_p3 = v["identity_p3_star_rel_err"], v["identity_p3_rel_err"]
     assert rel_star <= 1e-14
     assert rel_p3 <= 1e-14
     _ok(1, f"p3={v['p3']:.10f} p3*={v['p3_star']:.10f} identity rel errs {rel_star:.1e}/{rel_p3:.1e}")
 
 
 def test_criterion_02_monte_carlo_triple_volumes():
-    v = exact_volumes()
-    sigmas = {}
-    for target, truth in (("p3", v["p3"]), ("p3_star", v["p3_star"])):
-        est = estimate(EstimatorSpec(target=target, samples=10_000_000, seed=SEED, chunks=8))
-        off = abs(est.estimate - truth) / est.stderr
-        assert off <= 4.0, f"{target}: {est.estimate} vs {truth} is {off:.2f} sigmas"
-        sigmas[target] = off
+    section = checks.mc_volumes(samples=10_000_000, seed=SEED, chunks=8)
+    sigmas = {target: est["sigmas_off"] for target, est in section.items()}
+    for target, off in sigmas.items():
+        est = section[target]
+        assert off <= 4.0, f"{target}: {est['estimate']} vs {est['closed_form']} is {off:.2f} sigmas"
     _ok(2, f"10^7 samples: p3 off {sigmas['p3']:.2f} sigma, p3* off {sigmas['p3_star']:.2f} sigma")
 
 
 def test_criterion_03_density_identities():
-    errs = {w: abs(integrate_density(w) - 1.0) for w in ("f1", "f2", "f3")}
+    d = checks.densities()
+    errs = d["normalization_error"]
     assert all(e <= 1e-8 for e in errs.values())
-    grid = np.linspace(0.0, 1.0, 1000)
-    sym = max(abs(density("f2", float(x)) - density("f2", float(1 - x))) for x in grid)
+    sym = d["f2_symmetry_max_err"]
     assert sym <= 1e-12
-    for x in grid:
-        assert density("f3", float(x)) == density("f1", float(1 - x))
+    assert d["f3_reflection_max_err"] == 0.0
     _ok(3, f"normalization errs {max(errs.values()):.1e}, f2 symmetry max {sym:.1e}, f3 reflection exact")
 
 
 def test_criterion_04_table_statistics():
-    s = density_stats("f1")
+    s = checks.f1_stats()
     for key, published in (("mean", 0.211), ("median", 0.197), ("mode", 0.107)):
         assert abs(s[key] - published) <= 5e-3, (key, s[key])
-    base = unrestricted_min_stats()
+    base = s["baseline"]
     assert base["mean"] == 0.25
     assert abs(base["median"] - (1 - 2 ** (-1 / 3))) <= 1e-9
     _ok(4, f"f1 mean={s['mean']:.4f} median={s['median']:.4f} mode={s['mode']:.4f}; baseline exact")
 
 
 def test_criterion_05_histograms_match_closed_forms():
-    sups = {}
-    for which in ("f1", "f2"):
-        grid = histogram(which, 1_000_000, 50, seed=SEED)
-        sups[which] = max(abs(v - density(which, x)) for x, v in grid.points())
-        assert sups[which] <= 0.05, (which, sups[which])
-    pts = sample_ordered_cyclic(1_000_000, seed=SEED)
-    above = int((pts[:, 0] > OMEGA).sum())
-    assert above == 0
+    h = checks.histograms(1_000_000, seed=SEED)
+    sups = {which: h[which]["sup_norm_error"] for which in ("f1", "f2")}
+    for which, sup in sups.items():
+        assert sup <= 0.05, (which, sup)
+    assert h["f1_mass_above_omega"] == 0
     _ok(5, f"sup-norm errors f1={sups['f1']:.4f} f2={sups['f2']:.4f}; mass above omega = 0")
 
 
 def test_criterion_06_dn_star_volumes():
     offs = []
     for n in (3, 4, 5, 6):
-        truth = float(vol_dn_star(n))
-        est = estimate(
-            EstimatorSpec(target="vol_Dn_star", samples=10_000_000, seed=SEED + n, chunks=8, n=n)
-        )
-        off = abs(est.estimate - truth) / est.stderr
-        assert off <= 4.0, (n, est.estimate, truth, off)
+        est = checks.dn_star_volume(n, samples=10_000_000, seed=SEED + n, chunks=8)
+        off = est["sigmas_off"]
+        assert off <= 4.0, (n, est["estimate"], est["exact_float"], off)
         offs.append(off)
     _ok(6, "10^7 samples each: sigma offs " + ", ".join(f"n={n}:{o:.2f}" for n, o in zip((3, 4, 5, 6), offs)))
 
@@ -124,14 +91,12 @@ def test_criterion_07_alternating_permutations():
             total += ok
         return total
 
+    a = checks.alternating()
     expected = [1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521]
     for n in range(1, 11):
         b = brute(n)
-        assert alternating_count(n) == b == expected[n - 1]
-    worst = max(
-        alternating_count(n) / math.factorial(n) / (3 * (2 / math.pi) ** (n + 1))
-        for n in range(1, 31)
-    )
+        assert a["A_1_to_10"][n - 1] == b == expected[n - 1]
+    worst = a["andre_bound_max_ratio"]
     assert worst <= 1.0
     _ok(7, f"enumeration agrees for n<=10; bound ratio max {worst:.4f} <= 1 for n<=30")
 
@@ -139,73 +104,38 @@ def test_criterion_07_alternating_permutations():
 def test_criterion_08_bracket_consistency():
     details = []
     for n in range(4, 9):
-        res = estimate(EstimatorSpec(target="pn_bracket", samples=1_000_000, seed=SEED + n, n=n))
-        lo, up = res["lower"], res["upper"]
-        b = pn_bounds(n)
-        assert lo.estimate <= up.estimate
-        assert lo.estimate - 4 * lo.stderr <= b.upper
-        assert up.estimate + 4 * up.stderr >= b.lower
-        details.append(f"n={n}:[{lo.estimate:.4f},{up.estimate:.4f}]")
+        res = checks.pn_bracket(n, samples=1_000_000, seed=SEED + n, chunks=1)
+        lo, up, b = res["lower"], res["upper"], res["bounds"]
+        assert lo["estimate"] <= up["estimate"]
+        assert lo["estimate"] - 4 * lo["stderr"] <= b["upper"]
+        assert up["estimate"] + 4 * up["stderr"] >= b["lower"]
+        details.append(f"n={n}:[{lo['estimate']:.4f},{up['estimate']:.4f}]")
     _ok(8, "10^6 samples: " + " ".join(details))
 
 
 def test_criterion_09_witness_soundness():
-    rnd = random.Random(SEED)
-    built = 0
-    while built < 1000:
-        n = rnd.randint(4, 10)
-        q = rnd.randint(1, 99)
-        t = ProbTuple(tuple(Fraction(rnd.randint(0, q), q) for _ in range(n)))
-        try:
-            w = build_witness(t)
-        except HypothesisNotMetError:
-            continue
-        assert verify_witness(w, t), f"exact verification failed for {t}"
-        built += 1
+    w = checks.witnesses(1000, SEED)
+    assert w["random_tuples_failed"] == 0, "exact verification failed"
+    assert w["random_tuples_verified"] == 1000
     _ok(9, "1000 random rational witnesses verified with exact equality")
 
 
 def test_criterion_10_fixtures():
-    w, t = efron_dice()
-    assert verify_witness(w, t)
-    w2, t2 = moon_moser_dice()
-    assert verify_witness(w2, t2)
+    w = checks.witnesses(0, SEED)
+    assert w["efron_verifies"]
+    assert w["moon_moser_verifies"]
     _ok(10, "Efron dice give (2/3)^4 and Moon-Moser dice give (5/9)^3, exactly")
 
 
 def test_criterion_11_symmetry_suite():
-    rnd = random.Random(SEED + 1)
-    checked = 0
-    exempt = 0
-    for _ in range(50_000):
-        t = ProbTuple((rnd.random(), rnd.random(), rnd.random()))
-        base = is_cyclic_triple(t).status
-        x, y, z = t.values
-        for p in ((x, z, y), (y, x, z), (y, z, x), (z, x, y), (z, y, x)):
-            assert is_cyclic_triple(ProbTuple(p)).status is base
-        assert is_cyclic_triple(complement(t)).status is base
-        assert is_cyclic_triple(reverse(t)).status is base
-        checked += 1
-    for _ in range(50_000):
-        n = rnd.randint(4, 8)
-        t = ProbTuple(tuple(rnd.random() for _ in range(n)))
-        base = decide_ntuple(t, with_witness=False).status
-        for u in (rotate(t, rnd.randrange(1, n)), reverse(t), complement(t)):
-            other = decide_ntuple(u, with_witness=False).status
-            if Status.UNKNOWN in (base, other):
-                exempt += 1
-            else:
-                assert other is base, (t, u, base, other)
-        checked += 1
-    _ok(11, f"{checked} tuples invariant under the symmetry group ({exempt} Unknown comparisons exempt)")
+    s = checks.symmetry(100_000, SEED + 1)
+    assert s["triple_violations"] == 0
+    assert s["ntuple_violations"] == 0
+    _ok(11, f"{s['samples']} tuples invariant under the symmetry group ({s['unknown_exempted']} Unknown comparisons exempt)")
 
 
 def test_criterion_12_determinism():
-    spec = EstimatorSpec(target="p3", samples=500_000, seed=SEED, chunks=1)
-    a = estimate(spec)
-    b = estimate(EstimatorSpec(target="p3", samples=500_000, seed=SEED, chunks=1))
-    assert a == b
-    for chunks in (2, 5, 8):
-        c = estimate(EstimatorSpec(target="p3", samples=500_000, seed=SEED, chunks=chunks))
-        assert c.estimate == a.estimate and c.stderr == a.stderr
+    d = checks.determinism(500_000, SEED, chunk_counts=(2, 5, 8))
+    assert d["repeat_identical"]
+    assert d["chunk_invariant"]
     _ok(12, "reruns bit-identical; estimates invariant across chunk counts 1/2/5/8")

@@ -1,8 +1,11 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from cyclictuples import mc, ntuple, triple
 from cyclictuples.cli import main
+from cyclictuples.core import Status
 
 
 def run(capsys, *argv):
@@ -201,8 +204,6 @@ class TestUsageErrors:
 
 
 def test_report_draws_one_sample(capsys, monkeypatch):
-    from cyclictuples import mc, triple
-
     calls = []
     sampler = triple.sample_ordered_cyclic
 
@@ -215,6 +216,25 @@ def test_report_draws_one_sample(capsys, monkeypatch):
     code = main(["report", "--samples-scale", "0.002", "--seed", "7"])
     capsys.readouterr()
     assert code == 0 and calls == [(2000, 7)]
+
+
+class TestReportFailures:
+    """A report whose own check fails says so in its section and exits 1."""
+
+    def report(self, capsys):
+        return run_json(capsys, "report", "--samples-scale", "0.002", "--seed", "7")
+
+    def test_failed_witness_verification(self, capsys, monkeypatch):
+        monkeypatch.setattr(ntuple, "verify_witness", lambda w, t: False)
+        code, data = self.report(capsys)
+        assert code == 1 and data["witnesses"]["pass"] is False
+
+    def test_verdict_changed_by_complement(self, capsys, monkeypatch):
+        def by_sum(t):  # invariant under every ordering, flipped by the complement
+            return SimpleNamespace(status=Status.CYCLIC if sum(t) < 1.5 else Status.NOT_CYCLIC)
+        monkeypatch.setattr(triple, "is_cyclic_triple", by_sum)
+        code, data = self.report(capsys)
+        assert code == 1 and data["symmetry"]["pass"] is False and data["symmetry"]["triple_violations"] == 100
 
 
 @pytest.mark.parametrize(
@@ -243,14 +263,14 @@ FUZZ_FLAGS = [
     (["estimate", "--target", "p3", "--samples", "1000"], "--samples", None),
     (["estimate", "--target", "p3", "--samples", "1000"], "--seed", None),
     (["estimate", "--target", "p3", "--samples", "1000"], "--chunks", "1025"),
-    (["estimate", "--target", "vol_Dn_star", "--samples", "1000"], "--n", None),
+    (["estimate", "--target", "vol_Dn_star", "--samples", "1000"], "--n", "1025"),
     (["histogram", "--which", "f1", "--samples", "1000"], "--samples", "100000001"),
     (["histogram", "--which", "f1", "--samples", "1000"], "--bins", "1000001"),
     (["histogram", "--which", "f1", "--samples", "1000"], "--seed", None),
     (["density", "--which", "f1"], "--grid", "1000001"),
     (["report", "--samples-scale", "0.001"], "--samples-scale", "100.00001"),
     (["report", "--samples-scale", "0.001"], "--chunks", "1025"),
-    (["bounds"], "--n", None),
+    (["bounds"], "--n", "1025"),
     (["witness", "--tuple", "0.6,0.5,0.3,0.4"], "--index", None),
 ]
 FUZZ_VALUES = ["inf", "nan", "-1", "0", "1e400"]

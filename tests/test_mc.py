@@ -8,7 +8,7 @@ from scipy import stats as scistats
 
 from cyclictuples import mc
 from cyclictuples.mc import EstimatorSpec, estimate, histogram
-from cyclictuples.ntuple import pn_bounds, vol_dn_star
+from cyclictuples.ntuple import MAX_N, pn_bounds, vol_dn_star
 from cyclictuples.triple import OMEGA, P3, P3_STAR, VOL_C3_I, VOL_C3_II, density
 
 
@@ -25,6 +25,9 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             EstimatorSpec(target="p3", samples=10, seed=0, n=5)
         EstimatorSpec(target="p3", samples=10, seed=0, n=3)  # allowed
+        for target in ("vol_Dn_star", "pn_bracket"):
+            with pytest.raises(ValueError):
+                EstimatorSpec(target=target, samples=10, seed=0, n=MAX_N + 1)
 
     def test_counts_positive(self):
         with pytest.raises(ValueError):
@@ -66,6 +69,20 @@ class TestDeterminism:
         again = estimate(EstimatorSpec(target="p3", samples=10_001, seed=3, chunks=7))
         assert asked == [2]
         assert again.estimate == base.estimate
+
+    def test_blocks_capped_in_words(self, monkeypatch):
+        words = []
+        draw = mc.uniform_matrix
+
+        def recording(seed, start, count, dim):
+            words.append(count * dim)
+            return draw(seed, start, count, dim)
+
+        monkeypatch.setattr(mc, "uniform_matrix", recording)
+        for target in ("vol_Dn_star", "pn_bracket"):
+            estimate(EstimatorSpec(target=target, samples=4_000, seed=1, n=MAX_N))
+        assert len(words) == 4 and sum(words) == 2 * 4_000 * MAX_N
+        assert max(words) <= 3 << 20
 
     def test_seed_changes_result(self):
         a = estimate(EstimatorSpec(target="p3", samples=100_000, seed=1))

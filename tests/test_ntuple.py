@@ -17,6 +17,7 @@ from cyclictuples.core import (
 )
 from cyclictuples.ntuple import (
     DnRegionTag,
+    MAX_N,
     _pi_n_upper,
     alternating_count,
     andre_series,
@@ -319,3 +320,8 @@ class TestVolumesAndBounds:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             pn_bounds(3)
+
+    def test_rejects_n_above_max(self):
+        with pytest.raises(ValueError):
+            pn_bounds(MAX_N + 1)
+        assert pn_bounds(MAX_N).upper <= 1.0
