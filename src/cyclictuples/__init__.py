@@ -19,6 +19,7 @@ from .core import (
     WitnessSystem,
     complement,
     format_tuple,
+    in_region,
     parse_tuple,
     reverse,
     rotate,
@@ -27,11 +28,9 @@ from .triple import (
     OMEGA,
     P3,
     P3_STAR,
-    TripleRegion,
     density,
     density_stats,
     exact_volumes,
-    in_region,
     integrate_density,
     is_cyclic_triple,
     is_nontransitive_triple,
@@ -40,14 +39,12 @@ from .triple import (
     unrestricted_min_stats,
 )
 from .ntuple import (
-    DnRegionTag,
     PnBounds,
     alternating_count,
     andre_series,
     build_witness,
     decide_ntuple,
     efron_dice,
-    in_dn,
     moon_moser_dice,
     pi_n,
     pn_bounds,
@@ -61,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DensityGrid",
     "DiscreteDist",
-    "DnRegionTag",
     "EstimatorSpec",
     "HypothesisNotMetError",
     "InvalidTupleError",
@@ -73,7 +69,6 @@ __all__ = [
     "ProbTuple",
     "Reason",
     "Status",
-    "TripleRegion",
     "Verdict",
     "WitnessSystem",
     "alternating_count",
@@ -88,7 +83,6 @@ __all__ = [
     "exact_volumes",
     "format_tuple",
     "histogram",
-    "in_dn",
     "in_region",
     "integrate_density",
     "is_cyclic_triple",

@@ -80,7 +80,7 @@ def _grid(text: str) -> int:
 
 
 def cmd_check(args) -> int:
-    tup = parse_tuple(args.tuple)
+    tup = parse_tuple(args.tuple, exact=True)
     if args.verify_witness is not None:
         if args.verify_witness == "-":
             data = json.load(sys.stdin)
@@ -88,7 +88,7 @@ def cmd_check(args) -> int:
             with open(args.verify_witness) as fh:
                 data = json.load(fh)
         witness = WitnessSystem.from_json_dict(data)
-        ok = ntuple.verify_witness(witness, parse_tuple(args.tuple, exact=True))
+        ok = ntuple.verify_witness(witness, tup)
         _emit({"tuple": format_tuple(tup), "verified": ok})
         return 0 if ok else 1
     verdict = ntuple.decide_ntuple(tup, with_witness=not args.no_witness)
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="decide a tuple (exit 0 Cyclic, 1 NotCyclic, 3 Unknown)")
-    p.add_argument("--tuple", required=True, help='e.g. "5/9,5/9,5/9" or "0.6,0.5,0.3,0.4"')
+    p.add_argument("--tuple", required=True, help='e.g. "5/9,5/9,5/9" or "0.6,0.5,0.3,0.4" (decimals read exactly)')
     p.add_argument("--no-witness", action="store_true", help="skip witness construction")
     p.add_argument(
         "--verify-witness",
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="Monte Carlo estimate of a region volume")
     p.add_argument("--target", required=True, choices=list(mc.SINGLE_TARGETS + mc.BRACKET_TARGETS))
-    p.add_argument("--samples", type=_samples, default=1_000_000)
+    p.add_argument("--samples", type=_samples, default=1_000_000, help="samples, 1 to 1e11 (about an hour)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--chunks", type=int, default=1, help="chunks, 1 to 1024; fixes the result")
     p.add_argument("--n", type=int, default=None, help="tuple length, at most 1024")

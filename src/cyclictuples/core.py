@@ -5,8 +5,12 @@ variables U_1, ..., U_n exist, almost surely pairwise distinct, with
 P(U_{i+1} > U_i) = x_i around the cycle (indices modulo n).  It is
 *nontransitive* if it is cyclic and every x_i > 1/2.
 
-Number handling: decision and witness paths accept exact rationals
-(`int`/`fractions.Fraction`) and stay exact; volume and density paths work
+Number handling: a verdict on a scalar tuple is a statement about the exact
+value of its coordinates, a float being the dyadic rational it stores.  The
+region predicates compare every computed expression through ``le``/``lt``:
+exact on Fraction and int operands, while on floats they raise ``_NearTie``
+inside ``_FLOAT_BAND`` and ``decide_exactly`` evaluates again on ``exact``
+values.  numpy columns pass straight through.  Volume and density paths work
 in ordinary binary floats.  All types here are immutable and safe to share
 across workers.
 """
@@ -17,7 +21,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -65,6 +69,58 @@ VIOLATION_REASONS = frozenset(
 )
 
 
+# Each side of a comparison passed to ``le``/``lt`` is a polynomial of
+# degree <= 2 in coordinates from [0, 1], some of them the rounded
+# complement fl(1 - x).  With u = 2**-53, every intermediate value lies in
+# [0, 2], so one rounding errs by at most u: by u/2 for a value <= 1.  A
+# factor fl(1 - x), or a Fraction coordinate rounded when it meets a float,
+# is off by at most u/2; a product of two such factors by at most
+# 2 * (u/2) + u/2; a sum of a factor and a product by at most
+# u/2 + 3u/2 + u = 3u.  So each side errs by less than 2**-51, both sides
+# together by less than 2**-50, and rounding the gap a - b (at most 3u/2,
+# counting a Fraction side rounded to float) keeps the total below 2**-49.
+# A gap whose float value exceeds _FLOAT_BAND therefore has the same sign
+# in exact arithmetic.
+_FLOAT_BAND = 2.0**-48
+
+
+class _NearTie(Exception):
+    """A float comparison fell inside ``_FLOAT_BAND``; decide it exactly."""
+
+
+def _filter(a, b) -> None:
+    if (isinstance(a, float) or isinstance(b, float)) and abs(a - b) <= _FLOAT_BAND:
+        raise _NearTie
+
+
+def le(a, b):
+    """a <= b for scalars or numpy columns; raises ``_NearTie`` when a float
+    side is within ``_FLOAT_BAND`` of the other."""
+    _filter(a, b)
+    return a <= b
+
+
+def lt(a, b):
+    """a < b for scalars or numpy columns; raises ``_NearTie`` like ``le``."""
+    _filter(a, b)
+    return a < b
+
+
+def exact(v: Number) -> Fraction:
+    """The exact rational value of v; a float converts losslessly, since
+    every float is a dyadic rational."""
+    return v if isinstance(v, Fraction) else Fraction(v)
+
+
+def decide_exactly(fn: Callable, values: Sequence[Number]):
+    """``fn(*values)`` as decided on the exact values: evaluated in floats,
+    and again on ``exact`` values only when a comparison is a near tie."""
+    try:
+        return fn(*values)
+    except _NearTie:
+        return fn(*map(exact, values))
+
+
 def _check_probability(v: Number) -> None:
     if isinstance(v, float) and not math.isfinite(v):
         raise InvalidTupleError(f"non-finite value {v!r}")
@@ -105,23 +161,20 @@ class ProbTuple:
     def __iter__(self):
         return iter(self.values)
 
-    @property
-    def is_exact(self) -> bool:
-        return all(not isinstance(v, float) for v in self.values)
-
-    def adjacent_sums(self) -> tuple[Number, ...]:
-        """The cyclic sums s_i = x_i + x_{i+1}, i = 0, ..., n-1."""
-        v = self.values
-        n = len(v)
-        return tuple(v[i] + v[(i + 1) % n] for i in range(n))
-
-    def as_exact(self) -> "ProbTuple":
-        """Convert every coordinate to an exact Fraction (floats convert
-        losslessly, since every float is a dyadic rational)."""
-        return ProbTuple(tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.values))
-
     def __str__(self) -> str:
         return format_tuple(self)
+
+
+def as_tuple(t: ProbTuple | Sequence[Number]) -> ProbTuple:
+    """t itself if it is a ProbTuple, else a validated ProbTuple of its values."""
+    return t if isinstance(t, ProbTuple) else ProbTuple(tuple(t))
+
+
+def in_region(t: ProbTuple | Sequence[Number], predicate: Callable) -> bool:
+    """Whether the exact value of t lies in the region of ``predicate``, one
+    of the region predicates of ``triple`` or ``ntuple`` (``triple.c3_i``,
+    ``ntuple.d_i``, ...)."""
+    return bool(decide_exactly(predicate, as_tuple(t).values))
 
 
 def complement(t: ProbTuple) -> ProbTuple:

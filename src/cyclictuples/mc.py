@@ -38,6 +38,7 @@ from .triple import sample_ordered_cyclic
 _BLOCK_WORDS = 3 << 20  # random words per generated block, caps memory per worker
 MAX_CHUNKS = 1024  # each chunk is one task and one (start, stop) pair
 MAX_BINS = 10**6
+MAX_SAMPLES = 10**11  # p3 at 10^11 samples takes about an hour on two cores
 _COLUMNS = {"f1": 0, "f2": 1, "f3": 2}  # histogram's density -> sample column
 
 SINGLE_TARGETS = ("p3", "p3_star", "vol_C3_I", "vol_C3_II", "vol_C3_ordered", "vol_Dn_star")
@@ -58,8 +59,8 @@ class EstimatorSpec:
     def __post_init__(self) -> None:
         if self.target not in SINGLE_TARGETS + BRACKET_TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        if not 1 <= self.samples <= MAX_SAMPLES:
+            raise ValueError(f"samples must be in [1, {MAX_SAMPLES}], got {self.samples}")
         if not 1 <= self.chunks <= MAX_CHUNKS:
             raise ValueError(f"chunks must be in [1, {MAX_CHUNKS}], got {self.chunks}")
         if self.target in _SMALLEST_N:

@@ -9,13 +9,14 @@ necessity threshold, and everything else is Unknown.
 
 The D-regions (``d_i``, ``d_ii``, ``d_star``) and the pi_n necessity tests
 (``min_above_pi_n``, ``max_below_one_minus_pi_n``) are predicates of the
-coordinates written with + - * and comparisons joined by &, so ``in_dn``
-and ``decide_ntuple`` call them on scalars and ``mc`` on numpy columns.
+coordinates written with + - * and comparisons joined by &, every
+comparison of a sum going through ``core.lt``, so ``core.in_region`` and
+``decide_ntuple`` decide them on exact scalar values and ``mc`` evaluates
+them on numpy columns.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -32,6 +33,11 @@ from .core import (
     Status,
     Verdict,
     WitnessSystem,
+    as_tuple,
+    decide_exactly,
+    exact,
+    le,
+    lt,
 )
 from .triple import is_cyclic_triple
 
@@ -51,25 +57,13 @@ def pi_n(n: int) -> float:
 
 @functools.cache
 def _pi_n_upper(n: int) -> float:
-    # Conservative cover of the float-evaluation error of pi_n, so the
-    # necessity filter can never misclassify a boundary tuple (e.g. the
-    # all-2/3 4-tuple) as NotCyclic.
+    # At or above the true pi_n for every n in [3, MAX_N] (checked at 50
+    # digits by the tests), so the necessity filter can never misclassify a
+    # boundary tuple (e.g. the all-2/3 4-tuple) as NotCyclic.  A coordinate
+    # compared with it, or with 1 - it (exact: it lies in [1/2, 1]), needs
+    # no exact fallback.
     v = pi_n(n)
     return v + 8.0 * math.ulp(v)
-
-
-class DnRegionTag(str, enum.Enum):
-    """Tuples whose adjacent pairwise sums are uniformly small or large."""
-
-    D_I = "D_I"        # all s_i < 1
-    D_II = "D_II"      # all s_i > 1
-    D_STAR = "D_star"  # D_I with x_1 minimal
-
-
-def _as_ntuple(t: ProbTuple | Sequence[Number]) -> ProbTuple:
-    if not isinstance(t, ProbTuple):
-        t = ProbTuple(tuple(t))
-    return t
 
 
 def _all(conditions):
@@ -89,12 +83,12 @@ def _adjacent_sums(xs):
 
 def d_i(*xs):
     """D_I: every adjacent sum x_i + x_{i+1} is below 1."""
-    return _all(s < 1 for s in _adjacent_sums(xs))
+    return _all(lt(s, 1) for s in _adjacent_sums(xs))
 
 
 def d_ii(*xs):
     """D_II: every adjacent sum x_i + x_{i+1} is above 1."""
-    return _all(s > 1 for s in _adjacent_sums(xs))
+    return _all(lt(1, s) for s in _adjacent_sums(xs))
 
 
 def d_star(*xs):
@@ -114,37 +108,12 @@ def max_below_one_minus_pi_n(*xs):
     return _all(x < threshold for x in xs)
 
 
-DN_PREDICATES = {DnRegionTag.D_I: d_i, DnRegionTag.D_II: d_ii, DnRegionTag.D_STAR: d_star}
-
-
-def in_dn(t: ProbTuple | Sequence[Number], tag: DnRegionTag) -> bool:
-    """Strict-inequality membership in D_I / D_II / D_star."""
-    return bool(DN_PREDICATES[DnRegionTag(tag)](*_as_ntuple(t).values))
-
-
-def _exact(v: Number) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
-
-
-def _updown_index(values: Sequence[Number]) -> int | None:
-    """Smallest 0-based i with s_i >= 1 and s_{i+2} <= 1, decided exactly.
-
-    Float inputs take a fast path: a float sum within an ulp of the exact
-    one can only disagree with it inside a 1e-9 band around 1, so exact
-    rational arithmetic is used only when some sum lands in that band.
-    """
-    n = len(values)
-    if not any(isinstance(v, Fraction) for v in values):
-        s = [values[i] + values[(i + 1) % n] for i in range(n)]
-        if all(abs(si - 1.0) > 1e-9 for si in s):
-            for i in range(n):
-                if s[i] >= 1.0 and s[(i + 2) % n] <= 1.0:
-                    return i
-            return None
-    xs = [_exact(v) for v in values]
-    s_exact = [xs[i] + xs[(i + 1) % n] for i in range(n)]
+def _updown_index(*xs) -> int | None:
+    """Smallest 0-based i with s_i >= 1 and s_{i+2} <= 1."""
+    s = _adjacent_sums(xs)
+    n = len(s)
     for i in range(n):
-        if s_exact[i] >= 1 and s_exact[(i + 2) % n] <= 1:
+        if le(1, s[i]) and le(s[(i + 2) % n], 1):
             return i
     return None
 
@@ -160,13 +129,13 @@ def build_witness(t: ProbTuple | Sequence[Number], index: int | None = None) -> 
     system satisfies P(U_{j+1} > U_j) = x_j for every j, verifiable with
     ``verify_witness``.
     """
-    t = _as_ntuple(t)
+    t = as_tuple(t)
     n = t.n
     if n < 4:
         raise InvalidTupleError("witness construction requires n >= 4")
-    xs = tuple(_exact(v) for v in t.values)
+    xs = tuple(exact(v) for v in t.values)
     if index is None:
-        index = _updown_index(xs)
+        index = _updown_index(*xs)
         if index is None:
             raise HypothesisNotMetError(
                 "no index i has x_i + x_{i+1} >= 1 and x_{i+2} + x_{i+3} <= 1"
@@ -218,11 +187,11 @@ def verify_witness(w: WitnessSystem, t: ProbTuple | Sequence[Number]) -> bool:
     Each probability is the exact rational sum over the joint support;
     float coordinates of ``t`` are compared via their exact values.
     """
-    t = _as_ntuple(t)
+    t = as_tuple(t)
     if w.n != t.n:
         return False
     probs = w.cycle_probabilities()
-    return all(p == _exact(v) for p, v in zip(probs, t.values))
+    return all(p == exact(v) for p, v in zip(probs, t.values))
 
 
 def decide_ntuple(t: ProbTuple | Sequence[Number], with_witness: bool = True) -> Verdict:
@@ -235,7 +204,7 @@ def decide_ntuple(t: ProbTuple | Sequence[Number], with_witness: bool = True) ->
     construction and reports the equivalent mixed-sums certificate);
     Unknown otherwise.  Never incorrectly Cyclic or NotCyclic.
     """
-    t = _as_ntuple(t)
+    t = as_tuple(t)
     if t.n == 3:
         return is_cyclic_triple(t)
 
@@ -244,7 +213,7 @@ def decide_ntuple(t: ProbTuple | Sequence[Number], with_witness: bool = True) ->
     if max_below_one_minus_pi_n(*t.values):
         return Verdict(Status.NOT_CYCLIC, Reason.MAX_BELOW_ONE_MINUS_PI_N)
 
-    index = _updown_index(t.values)
+    index = decide_exactly(_updown_index, t.values)
     if index is not None:
         if with_witness:
             return Verdict(

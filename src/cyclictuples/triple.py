@@ -31,7 +31,6 @@ support.
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import Sequence
 
@@ -44,6 +43,10 @@ from .core import (
     Reason,
     Status,
     Verdict,
+    as_tuple,
+    decide_exactly,
+    le,
+    lt,
 )
 from .numeric import adaptive_simpson, bisect_root, golden_max, integrate_piecewise
 from .rng import UniformStream
@@ -64,7 +67,7 @@ P3_STAR = 11.0 * _SQRT5 / 8.0 - 43.0 / 16.0 - 3.0 * math.log(_SQRT5 - 1.0) + 3.0
 def trybula(x, y, z):
     """Trybula's first inequality, min(x + yz, y + zx, z + xy) <= 1.  The
     second is the same inequality on (1-x, 1-y, 1-z)."""
-    return (x + y * z <= 1) | (y + z * x <= 1) | (z + x * y <= 1)
+    return le(x + y * z, 1) | le(y + z * x, 1) | le(z + x * y, 1)
 
 
 def cyclic(x, y, z):
@@ -83,11 +86,11 @@ def c3_i(x, y, z):
     x*x + x <= 1, so no constant is rounded."""
     return (
         (x > 0.5)
-        & (x * x + x <= 1)
+        & le(x * x + x, 1)
         & (x <= y)
-        & (x * y <= 1 - x)
+        & le(x * y, 1 - x)
         & (x <= z)
-        & (y * z <= 1 - x)
+        & le(y * z, 1 - x)
     )
 
 
@@ -96,7 +99,7 @@ def c3_ii(x, y, z):
     return (
         (x < 0.5)
         & (z > 0.5)
-        & (((y > 0.5) & (y <= 1 - x)) | ((y > 1 - x) & (y * z <= 1 - x)))
+        & (((y > 0.5) & le(y, 1 - x)) | (lt(1 - x, y) & le(y * z, 1 - x)))
     )
 
 
@@ -107,46 +110,19 @@ def ordered_cyclic(x, y, z):
     return (
         (x <= y)
         & (y <= z)
-        & (x + y * z <= 1)
-        & ((1 - z) + (1 - x) * (1 - y) <= 1)
+        & le(x + y * z, 1)
+        & le((1 - z) + (1 - x) * (1 - y), 1)
     )
 
 
-class TripleRegion(str, enum.Enum):
-    """Sub-regions of the unit cube used in the volume computation."""
-
-    C3 = "C3"                  # all cyclic triples
-    C3_STAR = "C3star"         # nontransitive triples (cyclic, all > 1/2)
-    C3_I = "C3_I"              # cyclic, 1/2 < x <= 1, x <= y,z <= 1
-    C3_II = "C3_II"            # cyclic, 0 <= x < 1/2 < y,z <= 1
-    C3_ORDERED = "C3_ordered"  # cyclic with x <= y <= z
-
-
-REGION_PREDICATES = {
-    TripleRegion.C3: cyclic,
-    TripleRegion.C3_STAR: nontransitive,
-    TripleRegion.C3_I: c3_i,
-    TripleRegion.C3_II: c3_ii,
-    TripleRegion.C3_ORDERED: ordered_cyclic,
-}
-
-
 def _as_triple(t: ProbTuple | Sequence[Number]) -> ProbTuple:
-    if not isinstance(t, ProbTuple):
-        t = ProbTuple(tuple(t))
+    t = as_tuple(t)
     if t.n != 3:
         raise InvalidTupleError(f"expected a triple, got n={t.n}")
     return t
 
 
-def is_cyclic_triple(t: ProbTuple | Sequence[Number]) -> Verdict:
-    """Exact decision for n = 3; never returns Unknown.
-
-    Membership is non-strict on the boundary.  Exact rational inputs are
-    decided in exact arithmetic; the reason names the violated inequality
-    when the verdict is NotCyclic.
-    """
-    x, y, z = _as_triple(t).values
+def _trybula_verdict(x, y, z) -> Verdict:
     if not trybula(x, y, z):
         return Verdict(Status.NOT_CYCLIC, Reason.TRYBULA_INEQ1_FAILS)
     if not trybula(1 - x, 1 - y, 1 - z):
@@ -154,15 +130,19 @@ def is_cyclic_triple(t: ProbTuple | Sequence[Number]) -> Verdict:
     return Verdict(Status.CYCLIC, Reason.TRYBULA_BOTH_HOLD)
 
 
+def is_cyclic_triple(t: ProbTuple | Sequence[Number]) -> Verdict:
+    """Exact decision for n = 3; never returns Unknown.
+
+    Membership is non-strict on the boundary and decided on the exact value
+    of the coordinates (floats included); the reason names the violated
+    inequality when the verdict is NotCyclic.
+    """
+    return decide_exactly(_trybula_verdict, _as_triple(t).values)
+
+
 def is_nontransitive_triple(t: ProbTuple | Sequence[Number]) -> bool:
     """Cyclic with every coordinate strictly above 1/2."""
-    return bool(nontransitive(*_as_triple(t).values))
-
-
-def in_region(t: ProbTuple | Sequence[Number], region: TripleRegion) -> bool:
-    """Membership test for the named sub-region; exact rational inputs
-    are decided exactly."""
-    return bool(REGION_PREDICATES[TripleRegion(region)](*_as_triple(t).values))
+    return bool(decide_exactly(nontransitive, _as_triple(t).values))
 
 
 def exact_volumes() -> dict[str, float]:

@@ -56,6 +56,17 @@ class TestWitnessRoundTrip:
         )
         assert code == 0 and data["verified"] is True
 
+    def test_check_witness_pipes_into_verify(self, capsys, tmp_path):
+        # check reads decimals exactly, both to decide and to verify
+        code, data = run_json(capsys, "check", "--tuple", "0.6,0.5,0.3,0.4")
+        assert code == 0 and data["tuple"] == "3/5,1/2,3/10,2/5"
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(data["witness"]))
+        code, data = run_json(
+            capsys, "check", "--tuple", "0.6,0.5,0.3,0.4", "--verify-witness", str(path)
+        )
+        assert code == 0 and data["verified"] is True
+
     def test_tampered_witness_fails(self, capsys, tmp_path):
         code, data = run_json(capsys, "witness", "--tuple", "1/2,1/2,1/2,1/2")
         assert code == 0
@@ -260,7 +271,7 @@ def test_caps_exit_two(capsys, argv):
 # and single-threaded.  Every fuzzed report value is rejected before it runs;
 # report's --seed is left out, since a valid report starts worker threads.
 FUZZ_FLAGS = [
-    (["estimate", "--target", "p3", "--samples", "1000"], "--samples", None),
+    (["estimate", "--target", "p3", "--samples", "1000"], "--samples", "1.1e11"),
     (["estimate", "--target", "p3", "--samples", "1000"], "--seed", None),
     (["estimate", "--target", "p3", "--samples", "1000"], "--chunks", "1025"),
     (["estimate", "--target", "vol_Dn_star", "--samples", "1000"], "--n", "1025"),

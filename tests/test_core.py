@@ -15,6 +15,7 @@ from cyclictuples.core import (
     Verdict,
     WitnessSystem,
     complement,
+    exact,
     format_tuple,
     parse_tuple,
     reverse,
@@ -40,14 +41,11 @@ class TestProbTuple:
         t = ProbTuple((0.1, 0.2, 0.3, 0.4))
         assert t[4] == t[0] and t[-1] == t[3] and t[7] == t[3]
 
-    def test_adjacent_sums(self):
-        t = ProbTuple((Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)))
-        assert t.adjacent_sums() == (Fraction(5, 6), Fraction(7, 12), Fraction(3, 4))
-
     def test_exact_conversion_is_lossless(self):
         t = ProbTuple((0.1, 0.5, 1.0))
-        e = t.as_exact()
-        assert e.is_exact and all(float(a) == b for a, b in zip(e.values, t.values))
+        e = ProbTuple(tuple(map(exact, t.values)))
+        assert all(isinstance(v, Fraction) for v in e.values)
+        assert all(float(a) == b for a, b in zip(e.values, t.values))
 
 
 class TestSymmetryOps:
@@ -87,9 +85,10 @@ class TestSymmetryOps:
 class TestParsing:
     def test_rational_and_decimal(self):
         t = parse_tuple("5/9,5/9,5/9")
-        assert t.values == (Fraction(5, 9),) * 3 and t.is_exact
+        assert t.values == (Fraction(5, 9),) * 3
+        assert all(isinstance(v, Fraction) for v in t.values)
         t = parse_tuple("0.6,0.5,0.3")
-        assert t.values == (0.6, 0.5, 0.3) and not t.is_exact
+        assert t.values == (0.6, 0.5, 0.3) and all(isinstance(v, float) for v in t.values)
 
     def test_exact_decimal_mode(self):
         t = parse_tuple("0.6,0.5,0.25", exact=True)

@@ -1,0 +1,103 @@
+"""One exactness rule: every scalar verdict equals the verdict on the exact
+values of the same coordinates, floats included, even on the boundaries
+where float arithmetic alone rounds the wrong way."""
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from cyclictuples import ntuple, triple
+from cyclictuples.core import Status, decide_exactly, exact, in_region, le
+from cyclictuples.ntuple import decide_ntuple
+from cyclictuples.triple import is_cyclic_triple
+
+TRIPLE_PREDICATES = [
+    triple.cyclic,
+    triple.nontransitive,
+    triple.c3_i,
+    triple.c3_ii,
+    triple.ordered_cyclic,
+]
+NTUPLE_PREDICATES = [ntuple.d_i, ntuple.d_ii, ntuple.d_star]
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+fractions = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
+
+
+def _exact_values(t):
+    return tuple(map(exact, t))
+
+
+@st.composite
+def boundary_triples(draw):
+    """A float triple on one of Trybula's boundaries, permuted: x = fl(1 - yz)
+    (first inequality) or x = fl((1-y)(1-z)) (the complement form)."""
+    y, z = draw(unit), draw(unit)
+    x = 1.0 - y * z if draw(st.booleans()) else (1.0 - y) * (1.0 - z)
+    return tuple(draw(st.permutations([x, y, z])))
+
+
+@st.composite
+def mixed_triples(draw):
+    """A triple of floats and Fractions near the first boundary: y or z may
+    be a Fraction, and x is the float nearest 1 - yz, or an exact value."""
+    y = draw(st.one_of(unit, fractions))
+    z = draw(st.one_of(unit, fractions))
+    x = float(1 - exact(y) * exact(z))
+    if draw(st.booleans()):
+        x = Fraction(x)
+    return tuple(draw(st.permutations([x, y, z])))
+
+
+@st.composite
+def near_one_sum_tuples(draw):
+    """An n-tuple, 4 <= n <= 8, whose sums s_i and s_{i+2} are forced to
+    1 - ulp, 1 or 1 + ulp in float arithmetic."""
+    n = draw(st.integers(4, 8))
+    xs = [draw(unit) for _ in range(n)]
+    i = draw(st.integers(0, n - 1))
+    for j in (i, i + 2):
+        b = 1.0 - xs[j % n]
+        step = draw(st.sampled_from([-math.inf, None, math.inf]))
+        if step is not None:
+            b = math.nextafter(b, step)
+        xs[(j + 1) % n] = min(1.0, max(0.0, b))
+    return tuple(xs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(boundary_triples(), mixed_triples()))
+def test_triple_verdicts_are_exact(t):
+    e = _exact_values(t)
+    assert is_cyclic_triple(t) == is_cyclic_triple(e)
+    assert triple.is_nontransitive_triple(t) == triple.is_nontransitive_triple(e)
+    assert decide_ntuple(t) == decide_ntuple(e)
+    for pred in TRIPLE_PREDICATES:
+        assert in_region(t, pred) == in_region(e, pred), pred.__name__
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_one_sum_tuples())
+def test_ntuple_verdicts_are_exact(t):
+    e = _exact_values(t)
+    assert decide_ntuple(t) == decide_ntuple(e)
+    for pred in NTUPLE_PREDICATES:
+        assert in_region(t, pred) == in_region(e, pred), pred.__name__
+
+
+def test_roadmap_boundary_example_is_not_cyclic():
+    # Cyclic in float arithmetic, NotCyclic for the values the floats store
+    t = (0.12508164197173333, 0.999910712553391, 0.8749964842301354)
+    assert is_cyclic_triple(t).status is Status.NOT_CYCLIC
+    assert is_cyclic_triple(_exact_values(t)).status is Status.NOT_CYCLIC
+
+
+def test_near_tie_decided_on_exact_values():
+    # fl(0.1 + 0.9) == 1, but the stored values sum to more than 1
+    def sum_at_most_one(a, b):
+        return le(a + b, 1)
+
+    assert sum_at_most_one(Fraction(1, 10), Fraction(9, 10))
+    assert not decide_exactly(sum_at_most_one, (0.1, 0.9))
+    assert exact(0.1) + exact(0.9) > 1

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from cyclictuples import ntuple, triple
+from cyclictuples.core import in_region
 from cyclictuples.mc import EstimatorSpec, estimate
-from cyclictuples.ntuple import DnRegionTag, in_dn
 from cyclictuples.rng import uniform_matrix
-from cyclictuples.triple import TripleRegion, in_region
 
 TRIPLE_PREDICATES = [
     triple.trybula,
@@ -40,7 +39,7 @@ def _rows(seed, dim):
 def _columns_match_rows(pred, pts):
     mask = pred(*pts.T)
     assert mask.dtype == np.bool_ and mask.shape == (len(pts),)
-    scalar = [bool(pred(*map(float, row))) for row in pts]
+    scalar = [in_region(tuple(map(float, row)), pred) for row in pts]
     assert mask.tolist() == scalar
 
 
@@ -67,43 +66,62 @@ def _q(*values):
     return [Fraction(v) for v in values]
 
 
+# Test ids keep the paper's region names.
+REGION_NAMES = {
+    triple.cyclic: "C3",
+    triple.nontransitive: "C3star",
+    triple.c3_i: "C3_I",
+    triple.c3_ii: "C3_II",
+    triple.ordered_cyclic: "C3_ordered",
+    ntuple.d_i: "D_I",
+    ntuple.d_ii: "D_II",
+    ntuple.d_star: "D_star",
+}
+
+
+def _region_id(value):
+    return REGION_NAMES[value] if callable(value) else None
+
+
 @pytest.mark.parametrize(
     "values, region, expect",
     [
-        (_q("0.55", "0.6", "0.7"), TripleRegion.C3_I, True),
-        (_q("0.7", "0.8", "0.9"), TripleRegion.C3_I, False),
-        (_q("0.2", "0.6", "0.9"), TripleRegion.C3_II, True),
-        (_q("0.2", "0.9", "0.6"), TripleRegion.C3_II, True),
-        (_q("0.2", "0.9", "0.9"), TripleRegion.C3_II, False),
-        (_q("5/9", "5/9", "5/9"), TripleRegion.C3, True),
-        (_q("5/9", "5/9", "5/9"), TripleRegion.C3_STAR, True),
-        (_q("1/2", "1/2", "1/2"), TripleRegion.C3_STAR, False),
-        (_q("0.7", "0.7", "0.7"), TripleRegion.C3, False),
+        (_q("0.55", "0.6", "0.7"), triple.c3_i, True),
+        (_q("0.7", "0.8", "0.9"), triple.c3_i, False),
+        (_q("0.2", "0.6", "0.9"), triple.c3_ii, True),
+        (_q("0.2", "0.9", "0.6"), triple.c3_ii, True),
+        (_q("0.2", "0.9", "0.9"), triple.c3_ii, False),
+        (_q("5/9", "5/9", "5/9"), triple.cyclic, True),
+        (_q("5/9", "5/9", "5/9"), triple.nontransitive, True),
+        (_q("1/2", "1/2", "1/2"), triple.nontransitive, False),
+        (_q("0.7", "0.7", "0.7"), triple.cyclic, False),
         # x + yz == 1 exactly: the boundary is in (non-strict)
-        (_q("1/2", "1/2", "1"), TripleRegion.C3_ORDERED, True),
-        (_q("1/2", "1", "1/2"), TripleRegion.C3_ORDERED, False),
+        (_q("1/2", "1/2", "1"), triple.ordered_cyclic, True),
+        (_q("1/2", "1", "1/2"), triple.ordered_cyclic, False),
     ],
+    ids=_region_id,
 )
 def test_fraction_regions(values, region, expect):
     assert in_region(values, region) is expect
-    assert bool(triple.REGION_PREDICATES[region](*values)) is expect
+    assert bool(region(*values)) is expect
 
 
 @pytest.mark.parametrize(
     "values, tag, expect",
     [
-        (_q("0.2", "0.3", "0.2", "0.3"), DnRegionTag.D_I, True),
-        (_q("0.8", "0.9", "0.8", "0.9"), DnRegionTag.D_II, True),
-        (_q("1/2", "1/2", "1/2"), DnRegionTag.D_I, False),
-        (_q("1/2", "1/2", "1/2"), DnRegionTag.D_II, False),
-        (_q("0.1", "0.3", "0.2", "0.3"), DnRegionTag.D_STAR, True),
-        (_q("0.3", "0.1", "0.2", "0.3"), DnRegionTag.D_STAR, False),
-        (_q("0.2", "0.2", "0.3", "0.3"), DnRegionTag.D_STAR, True),
+        (_q("0.2", "0.3", "0.2", "0.3"), ntuple.d_i, True),
+        (_q("0.8", "0.9", "0.8", "0.9"), ntuple.d_ii, True),
+        (_q("1/2", "1/2", "1/2"), ntuple.d_i, False),
+        (_q("1/2", "1/2", "1/2"), ntuple.d_ii, False),
+        (_q("0.1", "0.3", "0.2", "0.3"), ntuple.d_star, True),
+        (_q("0.3", "0.1", "0.2", "0.3"), ntuple.d_star, False),
+        (_q("0.2", "0.2", "0.3", "0.3"), ntuple.d_star, True),
     ],
+    ids=_region_id,
 )
 def test_fraction_dn(values, tag, expect):
-    assert in_dn(values, tag) is expect
-    assert bool(ntuple.DN_PREDICATES[tag](*values)) is expect
+    assert in_region(values, tag) is expect
+    assert bool(tag(*values)) is expect
 
 
 def test_omega_written_without_rounding():

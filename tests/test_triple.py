@@ -7,7 +7,15 @@ from hypothesis import given, strategies as st
 from scipy import integrate, stats as scistats
 
 from cyclictuples import triple
-from cyclictuples.core import InvalidTupleError, ProbTuple, Reason, Status, complement
+from cyclictuples.core import (
+    InvalidTupleError,
+    ProbTuple,
+    Reason,
+    Status,
+    complement,
+    exact,
+    in_region,
+)
 from cyclictuples.rng import UniformStream, uniform_matrix
 from cyclictuples.triple import (
     F1_BREAKPOINTS,
@@ -17,14 +25,15 @@ from cyclictuples.triple import (
     P3_STAR,
     VOL_C3_I,
     VOL_C3_II,
-    TripleRegion,
+    c3_i,
+    c3_ii,
     density,
     density_stats,
     exact_volumes,
-    in_region,
     integrate_density,
     is_cyclic_triple,
     is_nontransitive_triple,
+    nontransitive,
     ordered_cyclic,
     sample_ordered_cyclic,
     unrestricted_min_density,
@@ -82,34 +91,36 @@ class TestDecision:
         base = is_cyclic_triple([x, y, z]).status
         for p in ([x, z, y], [y, x, z], [y, z, x], [z, x, y], [z, y, x]):
             assert is_cyclic_triple(p).status is base
-        assert is_cyclic_triple(complement(ProbTuple((x, y, z)))).status is base
+        # complement the exact values: fl(1 - x) can round to another tuple
+        exact_t = ProbTuple(tuple(map(exact, (x, y, z))))
+        assert is_cyclic_triple(complement(exact_t)).status is base
 
 
 class TestRegions:
     def test_characterization_examples(self):
-        assert in_region([0.55, 0.6, 0.7], TripleRegion.C3_I)
-        assert not in_region([0.7, 0.8, 0.9], TripleRegion.C3_I)  # 0.7 > omega
-        assert in_region([0.2, 0.6, 0.9], TripleRegion.C3_II)
-        assert in_region([0.2, 0.9, 0.6], TripleRegion.C3_II)  # second branch
-        assert not in_region([0.2, 0.9, 0.9], TripleRegion.C3_II)  # yz > 1-x
+        assert in_region([0.55, 0.6, 0.7], c3_i)
+        assert not in_region([0.7, 0.8, 0.9], c3_i)  # 0.7 > omega
+        assert in_region([0.2, 0.6, 0.9], c3_ii)
+        assert in_region([0.2, 0.9, 0.6], c3_ii)  # second branch
+        assert not in_region([0.2, 0.9, 0.9], c3_ii)  # yz > 1-x
 
     def test_c3_and_star_delegate(self):
-        assert in_region([Fraction(5, 9)] * 3, TripleRegion.C3)
-        assert in_region([Fraction(5, 9)] * 3, TripleRegion.C3_STAR)
-        assert not in_region([0.5, 0.5, 0.5], TripleRegion.C3_STAR)
+        assert in_region([Fraction(5, 9)] * 3, triple.cyclic)
+        assert in_region([Fraction(5, 9)] * 3, nontransitive)
+        assert not in_region([0.5, 0.5, 0.5], nontransitive)
 
     def test_region_definitions_match_decision(self):
         pts = uniform_matrix(55, 0, 20_000, 3)
         for row in pts:
             x, y, z = map(float, row)
             cyclic = is_cyclic_triple((x, y, z)).status is Status.CYCLIC
-            assert in_region((x, y, z), TripleRegion.C3_I) == (
+            assert in_region((x, y, z), c3_i) == (
                 cyclic and 0.5 < x and x <= y and x <= z
             )
-            assert in_region((x, y, z), TripleRegion.C3_II) == (
+            assert in_region((x, y, z), c3_ii) == (
                 cyclic and x < 0.5 and y > 0.5 and z > 0.5
             )
-            assert in_region((x, y, z), TripleRegion.C3_ORDERED) == (
+            assert in_region((x, y, z), ordered_cyclic) == (
                 cyclic and x <= y <= z
             )
 
@@ -125,7 +136,7 @@ class TestRegions:
         pts = np.sort(uniform_matrix(77, 0, 50_000, 3), axis=1)
         for row in pts:
             x, y, z = map(float, row)
-            assert in_region((x, y, z), TripleRegion.C3_ORDERED) == middle_form(x, y, z)
+            assert in_region((x, y, z), ordered_cyclic) == middle_form(x, y, z)
 
 
 class TestExactVolumes:
@@ -231,7 +242,7 @@ class TestSampler:
         assert pts.shape == (2000, 3)
         assert (np.diff(pts, axis=1) >= 0).all()
         for row in pts[:200]:
-            assert in_region(tuple(map(float, row)), TripleRegion.C3_ORDERED)
+            assert in_region(tuple(map(float, row)), ordered_cyclic)
 
     def test_deterministic(self):
         a = sample_ordered_cyclic(500, seed=9)
