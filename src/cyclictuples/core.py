@@ -177,10 +177,18 @@ def in_region(t: ProbTuple | Sequence[Number], predicate: Callable) -> bool:
     return bool(decide_exactly(predicate, as_tuple(t).values))
 
 
+def _one_minus(v: Number) -> Number:
+    # fl(1 - v) lies in [0, 1], so 1.0 - fl(1 - v) is exact (Sterbenz) and
+    # equals v exactly when the float complement was exact
+    c = 1 - v
+    return c if not isinstance(v, float) or 1.0 - c == v else 1 - exact(v)
+
+
 def complement(t: ProbTuple) -> ProbTuple:
-    """The coordinatewise complement (1-x_1, ..., 1-x_n).  Involutive, and
-    preserves the cyclic property."""
-    return ProbTuple(tuple(1 - v for v in t.values))
+    """The exact coordinatewise complement (1-x_1, ..., 1-x_n).  Involutive,
+    and preserves the cyclic property.  A float coordinate keeps a float
+    complement when ``1 - x`` is exact and gets a Fraction otherwise."""
+    return ProbTuple(tuple(_one_minus(v) for v in t.values))
 
 
 def rotate(t: ProbTuple, k: int) -> ProbTuple:

@@ -14,6 +14,14 @@ For n >= 4 the cyclic region has no exact membership test, so
 (min above pi_n, or max below 1 - pi_n); Unknowns widen the bracket and
 are never resolved heuristically.
 
+Each chunk draws its points in blocks of ``rng.BLOCK_WORDS // dim`` points,
+so a block's columns and the predicate's temporaries stay in cache.  At
+large n that leaves so few points per block that the per-column numpy
+calls dominate, so a block holds at least ``_MIN_ROWS`` points; it never
+holds more than ``_MAX_BLOCK_WORDS`` (3 * 2^20) words, which caps the
+memory per worker.  Every predicate reads C-contiguous columns
+(``uniform_matrix(...).T``).  Block sizes change no result.
+
 No region is written here.  Each target calls its predicate from
 ``triple`` (``cyclic``, ``nontransitive``, ``c3_i``, ``c3_ii``,
 ``ordered_cyclic``) or ``ntuple`` (``d_star``; for the bracket ``d_i``,
@@ -32,10 +40,11 @@ import numpy as np
 
 from . import ntuple, triple
 from .core import DensityGrid, MCEstimate
-from .rng import uniform_matrix
+from .rng import BLOCK_WORDS, uniform_matrix
 from .triple import sample_ordered_cyclic
 
-_BLOCK_WORDS = 3 << 20  # random words per generated block, caps memory per worker
+_MIN_ROWS = 3072  # floor on points per block; equals the cap at n = MAX_N
+_MAX_BLOCK_WORDS = 3 << 20  # random words per block at most, caps memory per worker
 MAX_CHUNKS = 1024  # each chunk is one task and one (start, stop) pair
 MAX_BINS = 10**6
 MAX_SAMPLES = 10**11  # p3 at 10^11 samples takes about an hour on two cores
@@ -106,7 +115,7 @@ def _count_chunk(spec: EstimatorSpec, start: int, stop: int) -> tuple[int, ...]:
     single = spec.target != "pn_bracket"
     hits = 0
     misses = 0
-    rows = _BLOCK_WORDS // spec.dim
+    rows = min(max(BLOCK_WORDS // spec.dim, _MIN_ROWS), _MAX_BLOCK_WORDS // spec.dim)
     pos = start
     while pos < stop:
         count = min(rows, stop - pos)

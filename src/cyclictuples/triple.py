@@ -49,7 +49,7 @@ from .core import (
     lt,
 )
 from .numeric import adaptive_simpson, bisect_root, golden_max, integrate_piecewise
-from .rng import UniformStream
+from .rng import BLOCK_WORDS, UniformStream
 
 _SQRT5 = math.sqrt(5.0)
 OMEGA = (_SQRT5 - 1.0) / 2.0
@@ -287,7 +287,7 @@ def _sort_rows(pts: np.ndarray) -> None:
     b[:] = mid
 
 
-def sample_ordered_cyclic(count: int, seed: int, batch: int = 1 << 20) -> np.ndarray:
+def sample_ordered_cyclic(count: int, seed: int, batch: int = BLOCK_WORDS // 3) -> np.ndarray:
     """Draw ``count`` points uniform on the ordered cyclic region.
 
     Each uniform cube point is sorted and then accepted if it lies in the
@@ -300,8 +300,10 @@ def sample_ordered_cyclic(count: int, seed: int, batch: int = 1 << 20) -> np.nda
     The output is the first ``count`` accepted rows of the seed's stream,
     in stream order: deterministic for fixed (count, seed).  ``batch``
     caps the rows drawn at once, and so the memory used; it does not
-    change the output.  Returns an array of shape (count, 3) with rows
-    satisfying x <= y <= z.
+    change the output.  Its default, ``rng.BLOCK_WORDS // 3`` rows, keeps
+    each draw's three contiguous columns and temporaries in cache.
+    Returns a C-ordered array of shape (count, 3) with rows satisfying
+    x <= y <= z.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -318,7 +320,7 @@ def sample_ordered_cyclic(count: int, seed: int, batch: int = 1 << 20) -> np.nda
         rows = min(batch, int((need + 4.0 * math.sqrt(need) + 8.0) / P3))
         pts = stream.next_matrix(rows, 3)
         _sort_rows(pts)
-        accepted = pts[ordered_cyclic(*pts.T)][:need]
+        accepted = np.compress(ordered_cyclic(*pts.T), pts, axis=0)[:need]
         out[have : have + len(accepted)] = accepted
         have += len(accepted)
     return out

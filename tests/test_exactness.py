@@ -8,7 +8,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from cyclictuples import ntuple, triple
-from cyclictuples.core import Status, decide_exactly, exact, in_region, le
+from cyclictuples.core import Status, as_tuple, complement, decide_exactly, exact, in_region, le
 from cyclictuples.ntuple import decide_ntuple
 from cyclictuples.triple import is_cyclic_triple
 
@@ -101,3 +101,28 @@ def test_near_tie_decided_on_exact_values():
     assert sum_at_most_one(Fraction(1, 10), Fraction(9, 10))
     assert not decide_exactly(sum_at_most_one, (0.1, 0.9))
     assert exact(0.1) + exact(0.9) > 1
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.lists(unit, min_size=3, max_size=8), boundary_triples(), near_one_sum_tuples()))
+def test_complement_keeps_verdict(values):
+    # complement preserves cyclicity, so the exact complement keeps every
+    # verdict, and complementing twice gives the stored values back
+    t = as_tuple(values)
+    c = complement(t)
+    assert complement(c).values == t.values
+    assert decide_ntuple(c, with_witness=False).status is decide_ntuple(t, with_witness=False).status
+    if t.n == 3:
+        assert is_cyclic_triple(c).status is is_cyclic_triple(t).status
+
+
+def test_complement_of_tiny_coordinate_is_exact():
+    # fl(1 - 1e-20) == 1.0: the rounded complement (1.0, 0.0, 0.0) is cyclic
+    t = as_tuple((1e-20, 1.0, 1.0))
+    c = complement(t)
+    assert c.values == (1 - Fraction(1e-20), 0.0, 0.0)
+    assert is_cyclic_triple(t).status is Status.NOT_CYCLIC
+    assert is_cyclic_triple(c).status is Status.NOT_CYCLIC
+    assert decide_ntuple(c).status is Status.NOT_CYCLIC
+    # an exact float complement stays a float
+    assert complement(as_tuple((0.25, 0.5, 0.75))).values == (0.75, 0.5, 0.25)

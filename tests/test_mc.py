@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as scistats
 
-from cyclictuples import mc
+from cyclictuples import mc, rng
 from cyclictuples.mc import EstimatorSpec, estimate, histogram
 from cyclictuples.ntuple import MAX_N, pn_bounds, vol_dn_star
 from cyclictuples.triple import OMEGA, P3, P3_STAR, VOL_C3_I, VOL_C3_II, density
@@ -83,6 +83,25 @@ class TestDeterminism:
             estimate(EstimatorSpec(target=target, samples=4_000, seed=1, n=MAX_N))
         assert len(words) == 4 and sum(words) == 2 * 4_000 * MAX_N
         assert max(words) <= 3 << 20
+
+    def test_every_target_draws_samples_times_dim_words(self, monkeypatch):
+        words = []
+        draw = rng.uniform_words
+
+        def recording(seed, start, count, dim=None):
+            words.append(count)
+            return draw(seed, start, count, dim)
+
+        monkeypatch.setattr(rng, "uniform_words", recording)
+        samples = 3 * rng.BLOCK_WORDS // 2 + 1  # more than one block at every dim
+        for target, n in [(t, None) for t in mc.SINGLE_TARGETS if t != "vol_Dn_star"] + [
+            ("vol_Dn_star", 3), ("vol_Dn_star", 7), ("pn_bracket", 4), ("pn_bracket", 40)
+        ]:
+            for chunks in (1, 3):
+                words.clear()
+                estimate(EstimatorSpec(target=target, samples=samples, seed=2, chunks=chunks, n=n))
+                assert sum(words) == samples * (n or 3), (target, n, chunks)
+                assert len(words) > chunks
 
     def test_seed_changes_result(self):
         a = estimate(EstimatorSpec(target="p3", samples=100_000, seed=1))

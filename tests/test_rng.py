@@ -3,6 +3,17 @@ import pytest
 
 from cyclictuples.rng import UniformStream, uniform_matrix, uniform_words
 
+MASK = (1 << 64) - 1
+
+
+def splitmix64_unit(seed, word):
+    """Word ``word`` of the stream, in pure Python integer arithmetic."""
+    z = (seed + (word + 1) * 0x9E3779B97F4A7C15) & MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    z ^= z >> 31
+    return (z >> 11) * 2.0**-53
+
 
 def test_words_in_unit_interval():
     u = uniform_words(123, 0, 100_000)
@@ -46,3 +57,30 @@ def test_rejects_negative_args():
         uniform_words(1, -1, 10)
     with pytest.raises(ValueError):
         uniform_words(1, 0, -10)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+@pytest.mark.parametrize("start", [0, 10**9])
+def test_known_answers(seed, start):
+    expected = [splitmix64_unit(seed, start + k) for k in range(64)]
+    assert uniform_words(seed, start, 64).tolist() == expected
+    assert uniform_words(seed, start, 64, 4).T.ravel().tolist() == expected
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8])
+def test_columns_contiguous_and_row_major(dim):
+    pts = uniform_matrix(17, 1001, 500, dim)
+    assert pts.shape == (500, dim)
+    cols = pts.T
+    assert cols.flags.c_contiguous
+    words = uniform_words(17, 1001 * dim, 500 * dim)
+    assert np.array_equal(pts, words.reshape(500, dim))
+    for j in range(dim):
+        assert np.array_equal(cols[j], words[j::dim])
+
+
+def test_rejects_bad_dim():
+    with pytest.raises(ValueError):
+        uniform_words(1, 0, 10, 3)
+    with pytest.raises(ValueError):
+        uniform_words(1, 0, 10, 0)

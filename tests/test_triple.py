@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -259,6 +260,20 @@ class TestSampler:
         ref = sample_ordered_cyclic(2000, seed=21)
         for batch in (1, 7, 4096, 1 << 20):
             assert np.array_equal(sample_ordered_cyclic(2000, seed=21, batch=batch), ref)
+
+    @pytest.mark.parametrize(
+        "count,seed,digest",
+        [
+            (10**6, 11, "2dab5c1d454d0cb29276216161dcbe1b147f393d6207fecae4da134a87a8a39f"),
+            (1000, 3, "8f60bfd01553c8636b0108cd2686cada33646b54ecef2b7641378fe65fe593c0"),
+            (123457, 7, "28ff190db8a1182a70407d3fed323a16e2ca49230baf12b031750667be56fe4f"),
+        ],
+    )
+    def test_rows_pinned(self, count, seed, digest):
+        # SHA-256 of the rows drawn with 2^20-row batches and row-major blocks
+        pts = sample_ordered_cyclic(count, seed)
+        assert pts.flags.c_contiguous
+        assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
 
     def test_small_request_draws_few_words(self, monkeypatch):
         drawn = []
