@@ -190,12 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="decide a tuple (exit 0 Cyclic, 1 NotCyclic, 3 Unknown)")
-    p.add_argument("--tuple", required=True, help='e.g. "5/9,5/9,5/9" or "0.6,0.5,0.3,0.4" (decimals read exactly)')
+    p.add_argument("--tuple", required=True, help='e.g. "5/9,5/9,5/9" or "0.6,0.5,0.3,0.4" (decimals read exactly; at most 4300 digits in a numerator or denominator)')
     p.add_argument("--no-witness", action="store_true", help="skip witness construction")
     p.add_argument(
         "--verify-witness",
         metavar="FILE",
-        help="verify a witness JSON file (or - for stdin) against --tuple",
+        help="verify a witness JSON file (or - for stdin) against --tuple; at most 1e6 atoms",
     )
     p.set_defaults(func=cmd_check)
 

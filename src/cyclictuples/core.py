@@ -13,12 +13,24 @@ inside ``_FLOAT_BAND`` and ``decide_exactly`` evaluates again on ``exact``
 values.  numpy columns pass straight through.  Volume and density paths work
 in ordinary binary floats.  All types here are immutable and safe to share
 across workers.
+
+Witness arithmetic runs on integers.  A distribution's integer view holds
+its point numerators on the lcm of the point denominators and its weight
+numerators on the lcm of the weight denominators, sorted by point.
+``prob_greater_than`` and ``WitnessSystem.cycle_probabilities`` merge two
+sorted views with a running integer sum of the weights below, so verifying
+s atoms costs O(s log s), and build one Fraction at the end.  Caps bound
+what input can ask for: ``MAX_TOKEN_DIGITS`` digits in the numerator or
+denominator of an exact token, checked on the text before conversion;
+``MAX_WITNESS_ATOMS`` atoms in a witness file; ``MAX_VIEW_BITS`` bits in one
+integer view.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -26,6 +38,17 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 Number = Union[int, float, Fraction]
+
+# Exact tokens (tuple entries read as Fractions, witness atom strings) may
+# have at most this many digits in numerator or denominator: the limit of
+# int-to-str conversion, which printing a longer one would hit anyway.
+# Without it "1e-9999999" would compute 10**9999999 before any check.
+MAX_TOKEN_DIGITS = 4300
+# Atoms accepted from a witness file, over all of its distributions.
+MAX_WITNESS_ATOMS = 10**6
+# Bits of one distribution's integer view: its atom count times the size of
+# its common denominator, for the points and for the weights alike.
+MAX_VIEW_BITS = 2**30
 
 
 class InvalidTupleError(ValueError):
@@ -128,7 +151,7 @@ def _check_probability(v: Number) -> None:
         raise InvalidTupleError(f"value {v!r} outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbTuple:
     """An ordered n-tuple of probabilities, n >= 3, with cyclic indexing.
 
@@ -203,6 +226,20 @@ def reverse(t: ProbTuple) -> ProbTuple:
     return ProbTuple(t.values[::-1])
 
 
+def _token_digits(tok: str) -> int:
+    """An upper bound, read from the text alone, on the digits of the
+    numerator and denominator that ``Fraction(tok)`` computes: a decimal
+    exponent e+-k adds k digits."""
+    if "/" in tok:
+        return max(sum(c.isdigit() for c in part) for part in tok.split("/"))
+    mantissa, _, exponent = tok.lower().partition("e")
+    try:
+        shift = abs(int(exponent)) if exponent else 0
+    except ValueError:  # malformed or over int()'s own limit: Fraction refuses it too
+        return 0
+    return sum(c.isdigit() for c in mantissa) + shift + 1
+
+
 def parse_tuple(text: str, exact: bool = False) -> ProbTuple:
     """Parse the canonical textual form, e.g. ``"5/9,5/9,5/9"`` or
     ``"0.6,0.5,0.3,0.4"``.
@@ -210,12 +247,19 @@ def parse_tuple(text: str, exact: bool = False) -> ProbTuple:
     Tokens with a slash always become exact Fractions.  Decimal tokens
     become floats by default; with ``exact=True`` they are read as exact
     decimal fractions instead ("0.6" -> 3/5), which the witness path needs.
+    An exact token whose numerator or denominator would have more than
+    ``MAX_TOKEN_DIGITS`` digits is refused before it is converted.
     """
     tokens = [tok.strip() for tok in text.split(",")]
     if any(not tok for tok in tokens):
         raise InvalidTupleError(f"malformed tuple string {text!r}")
     values: list[Number] = []
     for tok in tokens:
+        if ("/" in tok or exact) and _token_digits(tok) > MAX_TOKEN_DIGITS:
+            raise InvalidTupleError(
+                f"tuple entry {reprlib.repr(tok)} has a numerator or denominator "
+                f"of more than {MAX_TOKEN_DIGITS} digits"
+            )
         try:
             if "/" in tok or exact:
                 values.append(Fraction(tok))
@@ -236,29 +280,31 @@ def format_tuple(t: ProbTuple) -> str:
     return ",".join(format_value(v) for v in t.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscreteDist:
     """A finitely supported distribution with exact rational weights.
 
     ``atoms`` maps distinct support points to weights that are nonnegative
-    and sum exactly to 1.
+    and sum exactly to 1, checked on integers: each point as its reduced
+    (numerator, denominator) pair, the weights as numerators on their lcm.
     """
 
     atoms: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        atoms = tuple((Fraction(p), Fraction(w)) for p, w in self.atoms)
+        atoms = tuple(self.atoms)
+        if not all(map(_is_fraction_pair, atoms)):
+            atoms = tuple((Fraction(p), Fraction(w)) for p, w in atoms)
         object.__setattr__(self, "atoms", atoms)
-        points = [p for p, _ in atoms]
+        points = [p.as_integer_ratio() for p, _ in atoms]
         if len(set(points)) != len(points):
             raise ValueError("support points must be distinct")
-        total = Fraction(0)
-        for _, w in atoms:
-            if w < 0:
-                raise ValueError(f"negative weight {w}")
-            total += w
-        if total != 1:
-            raise ValueError(f"weights sum to {total}, not 1")
+        weights, dw = _common([w.as_integer_ratio() for _, w in atoms])
+        if any(w < 0 for w in weights):
+            raise ValueError(f"negative weight {next(w for _, w in atoms if w < 0)}")
+        total = sum(weights)
+        if total != dw:
+            raise ValueError(f"weights sum to {Fraction(total, dw)}, not 1")
 
     @classmethod
     def from_faces(cls, faces: Sequence[Number]) -> "DiscreteDist":
@@ -275,13 +321,56 @@ class DiscreteDist:
         return frozenset(p for p, _ in self.atoms)
 
     def prob_greater_than(self, other: "DiscreteDist") -> Fraction:
-        """P(self > other) by exact enumeration over the joint support."""
-        total = Fraction(0)
-        for a, wa in self.atoms:
-            for b, wb in other.atoms:
-                if a > b:
-                    total += wa * wb
-        return total
+        """P(self > other), exact, by one merge of the two sorted supports."""
+        return _prob_greater(_view(self.atoms), _view(other.atoms))
+
+
+def _common(ratios: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """The numerators of the fractions p/q in ``ratios`` on d, the lcm of
+    their denominators, and d; refused once the list would pass
+    ``MAX_VIEW_BITS``."""
+    count, d = len(ratios), 1
+    for q in {q for _, q in ratios}:
+        d = math.lcm(d, q)
+        if d.bit_length() * count > MAX_VIEW_BITS:
+            raise ValueError(
+                f"{count} atoms need a common denominator of more than "
+                f"{MAX_VIEW_BITS // count} bits"
+            )
+    return [p * (d // q) for p, q in ratios], d
+
+
+def _is_fraction_pair(atom) -> bool:
+    return type(atom) is tuple and len(atom) == 2 and type(atom[0]) is type(atom[1]) is Fraction
+
+
+def _view(atoms) -> tuple[list[int], int, list[int], int]:
+    """The integer view of a distribution's atoms, sorted by point: the
+    point numerators on dp, the lcm of the point denominators, and the
+    weight numerators on dw, the lcm of the weight denominators."""
+    points, dp = _common([p.as_integer_ratio() for p, _ in atoms])
+    weights, dw = _common([w.as_integer_ratio() for _, w in atoms])
+    pairs = sorted(zip(points, weights))
+    return [p for p, _ in pairs], dp, [w for _, w in pairs], dw
+
+
+def _prob_greater(a, b) -> Fraction:
+    """P(A > B) for independent A and B given by their integer views: one
+    merge of the sorted points, with a running sum of B's weights strictly
+    below each point of A (equal points add nothing)."""
+    a_points, a_dp, a_weights, a_dw = a
+    b_points, b_dp, b_weights, b_dw = b
+    if a_dp != b_dp:  # a/a_dp > b/b_dp  iff  a*b_dp > b*a_dp
+        a_points = [p * b_dp for p in a_points]
+        b_points = [p * a_dp for p in b_points]
+    total = below = j = 0
+    m = len(b_points)
+    for p, w in zip(a_points, a_weights):
+        while j < m and b_points[j] < p:
+            below += b_weights[j]
+            j += 1
+        total += w * below
+    return Fraction(total, a_dw * b_dw)
 
 
 def _wire_value(atom, key: str) -> Fraction:
@@ -291,13 +380,18 @@ def _wire_value(atom, key: str) -> Fraction:
     value = atom[key]
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise ValueError(f"witness atom {key} must be a p/q string or a number, got {value!r}")
+    if isinstance(value, str) and _token_digits(value) > MAX_TOKEN_DIGITS:
+        raise ValueError(
+            f"witness atom {key} {reprlib.repr(value)} has a numerator or denominator "
+            f"of more than {MAX_TOKEN_DIGITS} digits"
+        )
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"witness atom {key} {value!r} is not a finite rational") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WitnessSystem:
     """n distributions with pairwise-disjoint supports, certifying a tuple
     cyclic via exact computation of all the cycle probabilities."""
@@ -309,20 +403,26 @@ class WitnessSystem:
         object.__setattr__(self, "dists", dists)
         if len(dists) < 3:
             raise ValueError("a witness needs at least 3 distributions")
-        seen: set[Fraction] = set()
-        for d in dists:
-            if seen & d.support:
-                raise ValueError("supports of distinct distributions must be disjoint")
-            seen |= d.support
+        points = {p.as_integer_ratio() for d in dists for p, _ in d.atoms}
+        if len(points) != sum(len(d.atoms) for d in dists):
+            raise ValueError("supports of distinct distributions must be disjoint")
 
     @property
     def n(self) -> int:
         return len(self.dists)
 
     def cycle_probabilities(self) -> tuple[Fraction, ...]:
-        """(P(U_2 > U_1), ..., P(U_1 > U_n)), each exact."""
-        n = len(self.dists)
-        return tuple(self.dists[(i + 1) % n].prob_greater_than(self.dists[i]) for i in range(n))
+        """(P(U_2 > U_1), ..., P(U_1 > U_n)), each exact.  Each
+        distribution's integer view is built once; only the first and the
+        previous one are kept."""
+        first = previous = _view(self.dists[0].atoms)
+        probs = []
+        for d in self.dists[1:]:
+            current = _view(d.atoms)
+            probs.append(_prob_greater(current, previous))
+            previous = current
+        probs.append(_prob_greater(first, previous))
+        return tuple(probs)
 
     def to_json_dict(self) -> dict:
         """Lossless wire form: rational values as "p/q" strings."""
@@ -340,6 +440,9 @@ class WitnessSystem:
         dists = data.get("dists") if isinstance(data, dict) else None
         if not isinstance(dists, list):
             raise ValueError('witness JSON needs a "dists" list')
+        count = sum(len(atoms) for atoms in dists if isinstance(atoms, list))
+        if count > MAX_WITNESS_ATOMS:
+            raise ValueError(f"witness has {count} atoms, at most {MAX_WITNESS_ATOMS} allowed")
         parsed = []
         for atoms in dists:
             if not isinstance(atoms, list):
@@ -352,7 +455,7 @@ class WitnessSystem:
         return system
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Decision trichotomy with the machine-readable cause that fired."""
 

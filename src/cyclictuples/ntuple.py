@@ -133,44 +133,50 @@ def build_witness(t: ProbTuple | Sequence[Number], index: int | None = None) -> 
     n = t.n
     if n < 4:
         raise InvalidTupleError("witness construction requires n >= 4")
-    xs = tuple(exact(v) for v in t.values)
+    # Each coordinate as its reduced ratio p/q, so every weight below is
+    # one Fraction of integers, canonical once reduced.  (A common
+    # denominator for all coordinates would make each numerator as long
+    # as the lcm of n denominators.)
+    ratios = [v.as_integer_ratio() for v in t.values]
     if index is None:
-        index = _updown_index(*xs)
+        index = decide_exactly(_updown_index, t.values)
         if index is None:
             raise HypothesisNotMetError(
                 "no index i has x_i + x_{i+1} >= 1 and x_{i+2} + x_{i+3} <= 1"
             )
     else:
         index %= n
-        s_i = xs[index] + xs[(index + 1) % n]
-        s_i2 = xs[(index + 2) % n] + xs[(index + 3) % n]
+        a, b, c, d = (Fraction(*ratios[(index + j) % n]) for j in range(4))
+        s_i, s_i2 = a + b, c + d
         if not (s_i >= 1 and s_i2 <= 1):
             raise HypothesisNotMetError(
                 f"index {index}: need s_i >= 1 and s_(i+2) <= 1, got {s_i} and {s_i2}"
             )
 
     # Rotate so the hypothesis sits at position n-3 (0-based): then
-    # y[n-3] + y[n-2] >= 1 and y[n-1] + y[0] <= 1.
+    # y[n-3] + y[n-2] >= 1 and y[n-1] + y[0] <= 1, each y[j] a ratio (p, q).
     k = (index + 3) % n
-    y = tuple(xs[(j + k) % n] for j in range(n))
+    y = ratios[k:] + ratios[:k]
 
-    last = y[n - 1]
-    # last = 1 forces y[0] = 0; the ratio y[0]/(1 - last) is then 0 by
-    # continuity and every verification identity still holds.
-    ratio = Fraction(0) if last == 1 else y[0] / (1 - last)
-    one = Fraction(1)
+    (p0, q0), (pl, ql) = y[0], y[n - 1]
+    # The ratio y[0]/(1 - y[n-1]) is num/den.  y[n-1] = 1 forces y[0] = 0;
+    # the ratio is then 0 by continuity and every verification identity
+    # still holds.
+    num, den = p0 * ql, q0 * (ql - pl) or 1
+    (pa, qa), (pb, qb) = y[n - 3], y[n - 2]
 
     raw: list[dict[int, Fraction]] = [dict() for _ in range(n)]
-    raw[0] = {0: one - last, n + 1: last}
-    raw[1] = {-2: one - ratio, 2: ratio}
+    raw[0] = {0: Fraction(ql - pl, ql), n + 1: Fraction(pl, ql)}
+    raw[1] = {-2: Fraction(den - num, den), 2: Fraction(num, den)}
     for i in range(3, n - 1):  # interior variables, values -i and i
-        raw[i - 1] = {-i: one - y[i - 2], i: y[i - 2]}
+        p, q = y[i - 2]
+        raw[i - 1] = {-i: Fraction(q - p, q), i: Fraction(p, q)}
     raw[n - 2] = {
-        -(n - 1): one - y[n - 3],
-        n - 1: y[n - 2] + y[n - 3] - 1,
-        n + 2: one - y[n - 2],
+        -(n - 1): Fraction(qa - pa, qa),
+        n - 1: Fraction(pb * qa + pa * qb - qa * qb, qa * qb),
+        n + 2: Fraction(qb - pb, qb),
     }
-    raw[n - 1] = {n: one}
+    raw[n - 1] = {n: Fraction(1)}
 
     dists_y = [
         DiscreteDist(tuple((Fraction(p), w) for p, w in sorted(d.items()) if w != 0))
@@ -184,8 +190,9 @@ def build_witness(t: ProbTuple | Sequence[Number], index: int | None = None) -> 
 def verify_witness(w: WitnessSystem, t: ProbTuple | Sequence[Number]) -> bool:
     """Exact check that P(U_{i+1} > U_i) equals x_i for every i.
 
-    Each probability is the exact rational sum over the joint support;
-    float coordinates of ``t`` are compared via their exact values.
+    Each probability is computed exactly by one merge of two sorted
+    supports (``WitnessSystem.cycle_probabilities``); float coordinates of
+    ``t`` are compared via their exact values.
     """
     t = as_tuple(t)
     if w.n != t.n:

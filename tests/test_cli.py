@@ -1,9 +1,10 @@
 import json
+import time
 from types import SimpleNamespace
 
 import pytest
 
-from cyclictuples import mc, ntuple, triple
+from cyclictuples import core, mc, ntuple, triple
 from cyclictuples.cli import main
 from cyclictuples.core import Status
 
@@ -212,6 +213,37 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert "dists" in err and "Traceback" not in err
+
+    def test_long_exact_token_exit_two(self, capsys):
+        start = time.perf_counter()
+        code = main(["check", "--tuple", "1e-9999999,0.5,0.5"])
+        err = capsys.readouterr().err
+        assert code == 2 and "more than 4300 digits" in err
+        assert time.perf_counter() - start < 2  # refused before 10**9999999 is computed
+
+    def test_long_witness_token_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "w.json"
+        atom = {"point": "1e-9999999", "weight": "1"}
+        path.write_text(json.dumps({"n": 4, "dists": [[atom]] * 4}))
+        start = time.perf_counter()
+        code = main(["check", "--tuple", "0.6,0.5,0.3,0.4", "--verify-witness", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2 and "more than 4300 digits" in err
+        assert time.perf_counter() - start < 2
+
+    def test_witness_atom_cap_exit_two(self, capsys, tmp_path, monkeypatch):
+        _, data = run_json(capsys, "witness", "--tuple", "0.6,0.5,0.3,0.4")  # 8 atoms
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(data))
+        monkeypatch.setattr(core, "MAX_WITNESS_ATOMS", 7)
+        code = main(["check", "--tuple", "0.6,0.5,0.3,0.4", "--verify-witness", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2 and "8 atoms, at most 7" in err
+
+    def test_help_names_the_atom_cap(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["check", "--help"])
+        assert "1e6 atoms" in capsys.readouterr().out
 
 
 def test_report_draws_one_sample(capsys, monkeypatch):

@@ -2,8 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from cyclictuples import core
 from cyclictuples.core import (
     DensityGrid,
     DiscreteDist,
@@ -145,6 +146,88 @@ class TestDiscreteDist:
         assert a.prob_greater_than(b) == Fraction(4, 9)
 
 
+def _greater_by_enumeration(a, b) -> Fraction:
+    return sum((wa * wb for pa, wa in a for pb, wb in b if pa > pb), Fraction(0))
+
+
+def _weights(draw, size):
+    counts = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
+    if not any(counts):
+        counts[0] = 1
+    return [Fraction(c, sum(counts)) for c in counts]
+
+
+@st.composite
+def dist_pairs(draw):
+    """Two distributions over subsets, in any order, of one pool of points:
+    negative points, mixed denominators, shared points and zero weights."""
+    pool = draw(
+        st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=12),
+            min_size=1,
+            max_size=10,
+            unique=True,
+        )
+    )
+    pair = []
+    for _ in range(2):
+        points = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+        pair.append(tuple(zip(points, _weights(draw, len(points)))))
+    return pair
+
+
+@pytest.mark.parametrize("text", ["1e-9999999", "1e99999999", "1e-4299", "1/" + "7" * 4301])
+def test_parse_refuses_long_exact_tokens(text):
+    with pytest.raises(InvalidTupleError, match="more than 4300 digits"):
+        parse_tuple(f"{text},1/2,1/2", exact=True)
+
+
+def test_parse_keeps_exact_tokens_up_to_the_cap():
+    t = parse_tuple("1e-4298,0.5,0.5", exact=True)  # a denominator of 4299 digits
+    assert t[0] == Fraction(1, 10**4298)
+    assert parse_tuple("1e-9999999,0.5,0.5")[0] == 0.0  # read as a float
+
+
+class TestIntegerView:
+    @settings(max_examples=300, deadline=None)
+    @given(dist_pairs())
+    def test_equals_double_loop(self, pair):
+        a, b = pair
+        da, db = DiscreteDist(a), DiscreteDist(b)
+        assert da.prob_greater_than(db) == _greater_by_enumeration(a, b)
+        assert db.prob_greater_than(da) == _greater_by_enumeration(b, a)
+
+    def test_error_messages(self):
+        half = Fraction(1, 2)
+        cases = [
+            (lambda: DiscreteDist(((Fraction(0), half),)), "weights sum to 1/2, not 1"),
+            (lambda: DiscreteDist(((Fraction(0), half), (Fraction(0), half))),
+             "support points must be distinct"),
+            (lambda: DiscreteDist(((Fraction(0), Fraction(3, 2)), (Fraction(1), -half))),
+             "negative weight -1/2"),
+            (lambda: WitnessSystem((DiscreteDist.from_faces([1]),) * 2),
+             "a witness needs at least 3 distributions"),
+            (lambda: WitnessSystem(tuple(DiscreteDist.from_faces(f) for f in ([1, 2], [2, 3], [5]))),
+             "supports of distinct distributions must be disjoint"),
+        ]
+        for build, message in cases:
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == message
+
+    def test_atoms_of_other_types_are_converted(self):
+        d = DiscreteDist([[0, "1/4"], (1.5, Fraction(3, 4))])
+        assert d.atoms == ((Fraction(0), Fraction(1, 4)), (Fraction(3, 2), Fraction(3, 4)))
+
+    def test_integer_view_is_capped(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_VIEW_BITS", 64)
+        DiscreteDist.from_faces([0, 1, 2])  # 3 weights on a 2-bit denominator
+        tiny = Fraction(1, 2**20)  # 5 weights on a 21-bit denominator: 105 bits
+        atoms = tuple((Fraction(k), tiny) for k in range(4)) + ((Fraction(4), 1 - 4 * tiny),)
+        with pytest.raises(ValueError, match="common denominator"):
+            DiscreteDist(atoms)
+
+
 class TestWitnessSystem:
     def test_disjoint_supports_enforced(self):
         d1 = DiscreteDist.from_faces([1, 2])
@@ -181,6 +264,19 @@ class TestWitnessSystem:
     )
     def test_malformed_json_rejected(self, data):
         with pytest.raises(ValueError):
+            WitnessSystem.from_json_dict(data)
+
+    def test_long_exact_token_refused(self):
+        data = {"dists": [[{"point": "1e-9999999", "weight": "1"}]] * 3}
+        with pytest.raises(ValueError, match="more than 4300 digits"):
+            WitnessSystem.from_json_dict(data)
+
+    def test_atom_count_capped(self, monkeypatch):
+        data = __import__("cyclictuples").efron_dice()[0].to_json_dict()  # 7 atoms
+        monkeypatch.setattr(core, "MAX_WITNESS_ATOMS", 7)
+        WitnessSystem.from_json_dict(data)
+        monkeypatch.setattr(core, "MAX_WITNESS_ATOMS", 6)
+        with pytest.raises(ValueError, match="7 atoms, at most 6"):
             WitnessSystem.from_json_dict(data)
 
     def test_n_mismatch_rejected(self):

@@ -1,4 +1,8 @@
+import hashlib
+import json
 import math
+import random
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclictuples.core import (
+    DiscreteDist,
     HypothesisNotMetError,
     InvalidTupleError,
     ProbTuple,
@@ -198,6 +203,60 @@ class TestWitness:
         t = ProbTuple((Fraction(3, 5), Fraction(1, 2), Fraction(3, 10), Fraction(2, 5)))
         w = WitnessSystem.from_json_dict(build_witness(t).to_json_dict())
         assert verify_witness(w, t)
+
+
+def _witness_sha(t) -> str:
+    return hashlib.sha256(json.dumps(build_witness(t).to_json_dict()).encode()).hexdigest()
+
+
+def _reference_long_tuple():
+    # the 1000-coordinate tuple of benchmarks/reference.py
+    rnd = random.Random(2024)
+    for _ in range(60_000):
+        rnd.random()
+    return (0.9, 0.05) + tuple(rnd.random() for _ in range(998))
+
+
+class TestWitnessBytes:
+    """Witness JSON is pinned byte for byte: every weight is a reduced
+    Fraction, so its "p/q" string does not depend on how it was computed."""
+
+    def test_float_six_tuple(self):
+        t = (0.9, 0.35, 0.1, 0.2, 0.123456789, 0.987654321)
+        assert _witness_sha(t) == "f1bc7f83af30acf71d54d38f81404566e476c9d902391d8b642adc27cd5aed0c"
+
+    def test_rational_ten_tuple(self):
+        t = tuple(Fraction(p, q) for p, q in
+                  [(5, 7), (2, 3), (1, 11), (3, 13), (4, 9), (7, 17), (1, 2), (9, 19), (2, 23), (6, 29)])
+        assert _witness_sha(t) == "e429ad6a8fcbbcf764809d58cc39c0a7043d67a5069965e0303950fc4d6180c7"
+
+    def test_reference_thousand_tuple(self):
+        t = _reference_long_tuple()
+        assert _witness_sha(t) == "c8484300e85b12b9d3323f123814952081e45ce97bdb30ba726aaa8f2a51b056"
+
+
+def test_verify_large_system_against_double_loop():
+    """3 x 2000 atoms on interleaved integer points: the merge agrees with a
+    double loop over every pair of atoms, and verification stays fast."""
+    rnd = random.Random(11)
+    points = list(range(3 * 2000))
+    rnd.shuffle(points)
+    raw = []
+    for d in range(3):
+        counts = [rnd.randint(0, 10**6) for _ in range(2000)]
+        raw.append((list(zip(points[d::3], counts)), sum(counts)))
+    w = WitnessSystem(tuple(
+        DiscreteDist(tuple((Fraction(p), Fraction(c, total)) for p, c in atoms))
+        for atoms, total in raw
+    ))
+    want = []
+    for (a, ta), (b, tb) in zip(raw[1:] + raw[:1], raw):
+        pairs = sum(ca * sum(cb for pb, cb in b if pb < pa) for pa, ca in a)
+        want.append(Fraction(pairs, ta * tb))
+    start = time.perf_counter()
+    assert verify_witness(w, want)
+    assert time.perf_counter() - start < 0.5  # milliseconds in practice; minutes as a double loop
+    assert not verify_witness(w, want[:2] + [want[2] + Fraction(1, 10**30)])
 
 
 class TestFixtures:
