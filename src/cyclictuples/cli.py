@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import checks, mc, ntuple, triple
+from . import checks, core, mc, ntuple, triple
 from .core import (
     HypothesisNotMetError,
     InvalidTupleError,
@@ -79,15 +79,24 @@ def _grid(text: str) -> int:
     return value
 
 
+def _read_witness(path: str) -> bytes:
+    """The bytes of a witness file, or of stdin for "-"; refused past
+    ``core.MAX_WITNESS_BYTES`` before anything is parsed."""
+    limit = core.MAX_WITNESS_BYTES
+    if path == "-":
+        data = sys.stdin.buffer.read(limit + 1)
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read(limit + 1)
+    if len(data) > limit:
+        raise ValueError(f"witness JSON has more than {limit} bytes")
+    return data
+
+
 def cmd_check(args) -> int:
     tup = parse_tuple(args.tuple, exact=True)
     if args.verify_witness is not None:
-        if args.verify_witness == "-":
-            data = json.load(sys.stdin)
-        else:
-            with open(args.verify_witness) as fh:
-                data = json.load(fh)
-        witness = WitnessSystem.from_json_dict(data)
+        witness = WitnessSystem.from_json_dict(json.loads(_read_witness(args.verify_witness)))
         ok = ntuple.verify_witness(witness, tup)
         _emit({"tuple": format_tuple(tup), "verified": ok})
         return 0 if ok else 1
@@ -195,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verify-witness",
         metavar="FILE",
-        help="verify a witness JSON file (or - for stdin) against --tuple; at most 1e6 atoms",
+        help="verify a witness JSON file (or - for stdin) against --tuple; "
+        f"at most {core.MAX_WITNESS_BYTES:,} bytes and 1e6 atoms",
     )
     p.set_defaults(func=cmd_check)
 

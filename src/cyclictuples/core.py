@@ -14,16 +14,18 @@ values.  numpy columns pass straight through.  Volume and density paths work
 in ordinary binary floats.  All types here are immutable and safe to share
 across workers.
 
-Witness arithmetic runs on integers.  A distribution's integer view holds
-its point numerators on the lcm of the point denominators and its weight
-numerators on the lcm of the weight denominators, sorted by point.
+Witness arithmetic runs on integers.  ``ntuple.build_witness`` checks and
+builds each distribution from its integer points and weight numerators on
+one denominator (``DiscreteDist._on_integers``).  A distribution's integer
+view holds its point numerators on the lcm of the point denominators and
+its weight numerators on the lcm of the weight denominators, sorted by point.
 ``prob_greater_than`` and ``WitnessSystem.cycle_probabilities`` merge two
 sorted views with a running integer sum of the weights below, so verifying
 s atoms costs O(s log s), and build one Fraction at the end.  Caps bound
 what input can ask for: ``MAX_TOKEN_DIGITS`` digits in the numerator or
 denominator of an exact token, checked on the text before conversion;
-``MAX_WITNESS_ATOMS`` atoms in a witness file; ``MAX_VIEW_BITS`` bits in one
-integer view.
+``MAX_WITNESS_BYTES`` bytes and ``MAX_WITNESS_ATOMS`` atoms in a witness
+file; ``MAX_VIEW_BITS`` bits in one integer view.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import enum
 import math
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
@@ -46,6 +48,8 @@ Number = Union[int, float, Fraction]
 MAX_TOKEN_DIGITS = 4300
 # Atoms accepted from a witness file, over all of its distributions.
 MAX_WITNESS_ATOMS = 10**6
+# Bytes of a witness file, read before parsing: 10**6 atoms at the 119 per atom `witness` prints.
+MAX_WITNESS_BYTES = 2**27
 # Bits of one distribution's integer view: its atom count times the size of
 # its common denominator, for the points and for the weights alike.
 MAX_VIEW_BITS = 2**30
@@ -144,7 +148,9 @@ def decide_exactly(fn: Callable, values: Sequence[Number]):
         return fn(*map(exact, values))
 
 
-def _check_probability(v: Number) -> None:
+def _check_probability(v) -> None:
+    if not isinstance(v, (int, float, Fraction)) or isinstance(v, bool):
+        raise InvalidTupleError(f"unsupported value type {type(v).__name__}")
     if isinstance(v, float) and not math.isfinite(v):
         raise InvalidTupleError(f"non-finite value {v!r}")
     if not 0 <= v <= 1:
@@ -166,10 +172,10 @@ class ProbTuple:
         object.__setattr__(self, "values", values)
         if len(values) < 3:
             raise InvalidTupleError(f"need n >= 3 coordinates, got {len(values)}")
-        for v in values:
-            if not isinstance(v, (int, float, Fraction)) or isinstance(v, bool):
-                raise InvalidTupleError(f"unsupported value type {type(v).__name__}")
-            _check_probability(v)
+        for v in values:  # a plain float or Fraction in [0, 1] passes at once; nan fails the test
+            if not (type(v) is float and 0.0 <= v <= 1.0
+                    or type(v) is Fraction and 0 <= v.numerator <= v.denominator):
+                _check_probability(v)
 
     @property
     def n(self) -> int:
@@ -216,8 +222,7 @@ def complement(t: ProbTuple) -> ProbTuple:
 
 def rotate(t: ProbTuple, k: int) -> ProbTuple:
     """Cyclic left shift by k (mod n): rotate((a,b,c), 1) == (b,c,a)."""
-    n = t.n
-    k %= n
+    k %= t.n
     return ProbTuple(t.values[k:] + t.values[:k])
 
 
@@ -271,9 +276,7 @@ def parse_tuple(text: str, exact: bool = False) -> ProbTuple:
 
 
 def format_value(v: Number) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(Fraction(v))
+    return repr(v) if isinstance(v, float) else str(Fraction(v))
 
 
 def format_tuple(t: ProbTuple) -> str:
@@ -297,14 +300,16 @@ class DiscreteDist:
             atoms = tuple((Fraction(p), Fraction(w)) for p, w in atoms)
         object.__setattr__(self, "atoms", atoms)
         points = [p.as_integer_ratio() for p, _ in atoms]
-        if len(set(points)) != len(points):
-            raise ValueError("support points must be distinct")
-        weights, dw = _common([w.as_integer_ratio() for _, w in atoms])
-        if any(w < 0 for w in weights):
-            raise ValueError(f"negative weight {next(w for _, w in atoms if w < 0)}")
-        total = sum(weights)
-        if total != dw:
-            raise ValueError(f"weights sum to {Fraction(total, dw)}, not 1")
+        _check_atoms(points, *_common([w.as_integer_ratio() for _, w in atoms]))
+
+    @classmethod
+    def _on_integers(cls, atoms: Sequence[tuple[int, int]], d: int) -> "DiscreteDist":
+        """Weight w/d at each int point p of the pairs (p, w) in ``atoms``, in
+        their order, after the checks of ``__post_init__`` on these integers."""
+        _check_atoms([p for p, _ in atoms], [w for _, w in atoms], d)
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "atoms", tuple([(Fraction(p), Fraction(w, d)) for p, w in atoms]))
+        return dist
 
     @classmethod
     def from_faces(cls, faces: Sequence[Number]) -> "DiscreteDist":
@@ -316,13 +321,19 @@ class DiscreteDist:
             weights[p] = weights.get(p, Fraction(0)) + share
         return cls(tuple(sorted(weights.items())))
 
-    @property
-    def support(self) -> frozenset[Fraction]:
-        return frozenset(p for p, _ in self.atoms)
-
     def prob_greater_than(self, other: "DiscreteDist") -> Fraction:
         """P(self > other), exact, by one merge of the two sorted supports."""
         return _prob_greater(_view(self.atoms), _view(other.atoms))
+
+
+def _check_atoms(points: list, weights: list[int], d: int) -> None:
+    """Distinct points (ints or reduced ratios); weight numerators on d, >= 0, summing to d."""
+    if len(set(points)) != len(points):
+        raise ValueError("support points must be distinct")
+    if weights and min(weights) < 0:
+        raise ValueError(f"negative weight {Fraction(next(w for w in weights if w < 0), d)}")
+    if sum(weights) != d:
+        raise ValueError(f"weights sum to {Fraction(sum(weights), d)}, not 1")
 
 
 def _common(ratios: list[tuple[int, int]]) -> tuple[list[int], int]:
@@ -504,13 +515,7 @@ class MCEstimate:
             raise ValueError("samples and chunks must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "seed": self.seed,
-            "chunks": self.chunks,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -35,7 +35,6 @@ from .core import (
     WitnessSystem,
     as_tuple,
     decide_exactly,
-    exact,
     le,
     lt,
 )
@@ -133,8 +132,8 @@ def build_witness(t: ProbTuple | Sequence[Number], index: int | None = None) -> 
     n = t.n
     if n < 4:
         raise InvalidTupleError("witness construction requires n >= 4")
-    # Each coordinate as its reduced ratio p/q, so every weight below is
-    # one Fraction of integers, canonical once reduced.  (A common
+    # Each coordinate as its reduced ratio p/q, so each distribution's
+    # weights are integers on one small denominator.  (A common
     # denominator for all coordinates would make each numerator as long
     # as the lcm of n denominators.)
     ratios = [v.as_integer_ratio() for v in t.values]
@@ -146,9 +145,9 @@ def build_witness(t: ProbTuple | Sequence[Number], index: int | None = None) -> 
             )
     else:
         index %= n
-        a, b, c, d = (Fraction(*ratios[(index + j) % n]) for j in range(4))
-        s_i, s_i2 = a + b, c + d
-        if not (s_i >= 1 and s_i2 <= 1):
+        (pa, qa), (pb, qb), (pc, qc), (pd, qd) = (ratios[(index + j) % n] for j in range(4))
+        if pa * qb + pb * qa < qa * qb or pc * qd + pd * qc > qc * qd:
+            s_i, s_i2 = Fraction(pa, qa) + Fraction(pb, qb), Fraction(pc, qc) + Fraction(pd, qd)
             raise HypothesisNotMetError(
                 f"index {index}: need s_i >= 1 and s_(i+2) <= 1, got {s_i} and {s_i2}"
             )
@@ -165,23 +164,17 @@ def build_witness(t: ProbTuple | Sequence[Number], index: int | None = None) -> 
     num, den = p0 * ql, q0 * (ql - pl) or 1
     (pa, qa), (pb, qb) = y[n - 3], y[n - 2]
 
-    raw: list[dict[int, Fraction]] = [dict() for _ in range(n)]
-    raw[0] = {0: Fraction(ql - pl, ql), n + 1: Fraction(pl, ql)}
-    raw[1] = {-2: Fraction(den - num, den), 2: Fraction(num, den)}
+    # Each distribution as its (point, weight numerator) pairs, sorted by
+    # point, and the weights' denominator.
+    raw = [([(0, ql - pl), (n + 1, pl)], ql), ([(-2, den - num), (2, num)], den)]
     for i in range(3, n - 1):  # interior variables, values -i and i
         p, q = y[i - 2]
-        raw[i - 1] = {-i: Fraction(q - p, q), i: Fraction(p, q)}
-    raw[n - 2] = {
-        -(n - 1): Fraction(qa - pa, qa),
-        n - 1: Fraction(pb * qa + pa * qb - qa * qb, qa * qb),
-        n + 2: Fraction(qb - pb, qb),
-    }
-    raw[n - 1] = {n: Fraction(1)}
+        raw.append(([(-i, q - p), (i, p)], q))
+    middle = pb * qa + pa * qb - qa * qb
+    raw.append(([(1 - n, (qa - pa) * qb), (n - 1, middle), (n + 2, (qb - pb) * qa)], qa * qb))
+    raw.append(([(n, 1)], 1))
 
-    dists_y = [
-        DiscreteDist(tuple((Fraction(p), w) for p, w in sorted(d.items()) if w != 0))
-        for d in raw
-    ]
+    dists_y = [DiscreteDist._on_integers([a for a in atoms if a[1]], d) for atoms, d in raw]
     # Undo the rotation: distribution m of the original tuple is
     # distribution (m - k) mod n of the rotated one.
     return WitnessSystem(tuple(dists_y[(m - k) % n] for m in range(n)))
@@ -191,14 +184,21 @@ def verify_witness(w: WitnessSystem, t: ProbTuple | Sequence[Number]) -> bool:
     """Exact check that P(U_{i+1} > U_i) equals x_i for every i.
 
     Each probability is computed exactly by one merge of two sorted
-    supports (``WitnessSystem.cycle_probabilities``); float coordinates of
-    ``t`` are compared via their exact values.
+    supports (``WitnessSystem.cycle_probabilities``) and compared with the
+    exact value of its coordinate as a reduced integer ratio.
     """
     t = as_tuple(t)
     if w.n != t.n:
         return False
     probs = w.cycle_probabilities()
-    return all(p == exact(v) for p, v in zip(probs, t.values))
+    return all(p.as_integer_ratio() == v.as_integer_ratio() for p, v in zip(probs, t.values))
+
+
+# The witness-free verdicts, built once: a Verdict's checks cost about 2 us.
+_MIN_EXCEEDS_PI_N = Verdict(Status.NOT_CYCLIC, Reason.MIN_EXCEEDS_PI_N)
+_MAX_BELOW_ONE_MINUS_PI_N = Verdict(Status.NOT_CYCLIC, Reason.MAX_BELOW_ONE_MINUS_PI_N)
+_MIXED_PAIRWISE_SUMS = Verdict(Status.CYCLIC, Reason.MIXED_PAIRWISE_SUMS)
+_UNDECIDED = Verdict(Status.UNKNOWN, Reason.UNDECIDED)
 
 
 def decide_ntuple(t: ProbTuple | Sequence[Number], with_witness: bool = True) -> Verdict:
@@ -216,9 +216,9 @@ def decide_ntuple(t: ProbTuple | Sequence[Number], with_witness: bool = True) ->
         return is_cyclic_triple(t)
 
     if min_above_pi_n(*t.values):
-        return Verdict(Status.NOT_CYCLIC, Reason.MIN_EXCEEDS_PI_N)
+        return _MIN_EXCEEDS_PI_N
     if max_below_one_minus_pi_n(*t.values):
-        return Verdict(Status.NOT_CYCLIC, Reason.MAX_BELOW_ONE_MINUS_PI_N)
+        return _MAX_BELOW_ONE_MINUS_PI_N
 
     index = decide_exactly(_updown_index, t.values)
     if index is not None:
@@ -226,8 +226,8 @@ def decide_ntuple(t: ProbTuple | Sequence[Number], with_witness: bool = True) ->
             return Verdict(
                 Status.CYCLIC, Reason.UP_DOWN_CONDITION_MET, witness=build_witness(t, index)
             )
-        return Verdict(Status.CYCLIC, Reason.MIXED_PAIRWISE_SUMS)
-    return Verdict(Status.UNKNOWN, Reason.UNDECIDED)
+        return _MIXED_PAIRWISE_SUMS
+    return _UNDECIDED
 
 
 @functools.cache
@@ -282,12 +282,7 @@ class PnBounds:
     upper: float          # 1 - 2 (1/4)^n
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "lower": self.lower,
-            "sharper_lower": self.sharper_lower,
-            "upper": self.upper,
-        }
+        return asdict(self)
 
 
 def pn_bounds(n: int) -> PnBounds:

@@ -122,12 +122,18 @@ def _as_triple(t: ProbTuple | Sequence[Number]) -> ProbTuple:
     return t
 
 
+# The three triple verdicts, built once: a Verdict's checks cost about 2 us.
+_INEQ1_FAILS = Verdict(Status.NOT_CYCLIC, Reason.TRYBULA_INEQ1_FAILS)
+_INEQ2_FAILS = Verdict(Status.NOT_CYCLIC, Reason.TRYBULA_INEQ2_FAILS)
+_BOTH_HOLD = Verdict(Status.CYCLIC, Reason.TRYBULA_BOTH_HOLD)
+
+
 def _trybula_verdict(x, y, z) -> Verdict:
     if not trybula(x, y, z):
-        return Verdict(Status.NOT_CYCLIC, Reason.TRYBULA_INEQ1_FAILS)
+        return _INEQ1_FAILS
     if not trybula(1 - x, 1 - y, 1 - z):
-        return Verdict(Status.NOT_CYCLIC, Reason.TRYBULA_INEQ2_FAILS)
-    return Verdict(Status.CYCLIC, Reason.TRYBULA_BOTH_HOLD)
+        return _INEQ2_FAILS
+    return _BOTH_HOLD
 
 
 def is_cyclic_triple(t: ProbTuple | Sequence[Number]) -> Verdict:

@@ -1,3 +1,4 @@
+import io
 import json
 import time
 from types import SimpleNamespace
@@ -244,6 +245,28 @@ class TestUsageErrors:
         with pytest.raises(SystemExit):
             main(["check", "--help"])
         assert "1e6 atoms" in capsys.readouterr().out
+
+    def test_help_names_the_byte_cap(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["check", "--help"])
+        assert f"at most {core.MAX_WITNESS_BYTES:,} bytes" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_witness_byte_cap_exit_two(self, capsys, tmp_path, monkeypatch, source):
+        _, data = run_json(capsys, "witness", "--tuple", "0.6,0.5,0.3,0.4")
+        text = json.dumps(data).encode()
+        path = tmp_path / "w.json"
+        path.write_bytes(text)
+        argv = ["check", "--tuple", "0.6,0.5,0.3,0.4", "--verify-witness"]
+        argv.append(str(path) if source == "file" else "-")
+        for limit, want in ((len(text), 0), (len(text) - 1, 2)):
+            monkeypatch.setattr(core, "MAX_WITNESS_BYTES", limit)
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text)))
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == want
+            if want == 2:
+                assert f"witness JSON has more than {limit} bytes" in err and "Traceback" not in err
 
 
 def test_report_draws_one_sample(capsys, monkeypatch):

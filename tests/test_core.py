@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -37,6 +38,33 @@ class TestProbTuple:
             ProbTuple((0.5, 0.5, -0.1))
         with pytest.raises(InvalidTupleError):
             ProbTuple((0.5, 0.5, float("nan")))
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (math.nan, "non-finite value nan"),
+            (math.inf, "non-finite value inf"),
+            (-math.inf, "non-finite value -inf"),
+            (-5e-324, "value -5e-324 outside [0, 1]"),
+            (1 + 2**-52, "value 1.0000000000000002 outside [0, 1]"),
+            (Fraction(-1, 3), "value Fraction(-1, 3) outside [0, 1]"),
+            (Fraction(4, 3), "value Fraction(4, 3) outside [0, 1]"),
+            (True, "unsupported value type bool"),
+            (2, "value 2 outside [0, 1]"),
+            ("0.5", "unsupported value type str"),
+            # numpy's own repr: np.float64(1.5) from numpy 2, 1.5 before
+            (np.float64(1.5), f"value {np.float64(1.5)!r} outside [0, 1]"),
+        ],
+    )
+    def test_error_messages(self, value, message):
+        for values in ((value, 0.5, 0.5), (0.5, Fraction(1, 2), value)):
+            with pytest.raises(InvalidTupleError) as exc:
+                ProbTuple(values)
+            assert type(exc.value) is InvalidTupleError and str(exc.value) == message
+
+    def test_accepts_the_closed_interval(self):
+        values = (0.0, 1.0, -0.0, Fraction(0), Fraction(1), 0, 1, np.float64(0.5), 5e-324)
+        assert ProbTuple(values).values == values
 
     def test_cyclic_indexing(self):
         t = ProbTuple((0.1, 0.2, 0.3, 0.4))
@@ -214,6 +242,27 @@ class TestIntegerView:
             with pytest.raises(ValueError) as exc:
                 build()
             assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "atoms, d, message",
+        [
+            ([(0, 1)], 2, "weights sum to 1/2, not 1"),
+            ([(0, 1), (0, 1)], 2, "support points must be distinct"),
+            ([(0, 3), (1, -1)], 2, "negative weight -1/2"),
+        ],
+    )
+    def test_integer_constructor_messages(self, atoms, d, message):
+        # the same bad atoms, given as Fractions and as integers on d
+        fractions = tuple((Fraction(p), Fraction(w, d)) for p, w in atoms)
+        for build in (lambda: DiscreteDist(fractions), lambda: DiscreteDist._on_integers(atoms, d)):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == message
+
+    def test_integer_constructor_reduces(self):
+        d = DiscreteDist._on_integers([(-2, 2), (3, 6)], 8)
+        assert d == DiscreteDist(((Fraction(-2), Fraction(1, 4)), (Fraction(3), Fraction(3, 4))))
+        assert [(p.denominator, w.denominator) for p, w in d.atoms] == [(1, 4), (1, 4)]
 
     def test_atoms_of_other_types_are_converted(self):
         d = DiscreteDist([[0, "1/4"], (1.5, Fraction(3, 4))])

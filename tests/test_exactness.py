@@ -5,6 +5,8 @@ where float arithmetic alone rounds the wrong way."""
 import math
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclictuples import ntuple, triple
@@ -86,11 +88,36 @@ def test_ntuple_verdicts_are_exact(t):
         assert in_region(t, pred) == in_region(e, pred), pred.__name__
 
 
+# Cyclic in float arithmetic, NotCyclic for the values the floats store
+ROADMAP_TRIPLE = (0.12508164197173333, 0.999910712553391, 0.8749964842301354)
+
+
 def test_roadmap_boundary_example_is_not_cyclic():
-    # Cyclic in float arithmetic, NotCyclic for the values the floats store
-    t = (0.12508164197173333, 0.999910712553391, 0.8749964842301354)
+    t = ROADMAP_TRIPLE
     assert is_cyclic_triple(t).status is Status.NOT_CYCLIC
     assert is_cyclic_triple(_exact_values(t)).status is Status.NOT_CYCLIC
+
+
+def test_numpy_float64_triple_is_decided_exactly():
+    # np.float64 is a float: its sums and products get the same near-tie band
+    for t in (np.array(ROADMAP_TRIPLE), tuple(map(np.float64, ROADMAP_TRIPLE))):
+        assert is_cyclic_triple(t).status is Status.NOT_CYCLIC
+        assert decide_ntuple(t).status is Status.NOT_CYCLIC
+
+
+@pytest.mark.parametrize("direction", [-1.0, 2.0])
+def test_numpy_float64_sum_next_to_one_is_decided_exactly(direction):
+    # 0.75 + b rounds to 1.0, but the stored values sum to just below or
+    # just above 1, so every adjacent sum is < 1 (D_I) or every one is > 1
+    # (D_II): the exact verdict is Unknown, where floats alone say Cyclic
+    b = math.nextafter(0.25, direction)
+    assert 0.75 + b == 1.0 and exact(0.75) + exact(b) != 1
+    values = (0.75, b, 0.75, b)
+    assert decide_ntuple(_exact_values(values)).status is Status.UNKNOWN
+    for t in (np.array(values), tuple(map(np.float64, values))):
+        assert decide_ntuple(t).status is Status.UNKNOWN
+        assert decide_ntuple(t, with_witness=False).status is Status.UNKNOWN
+        assert in_region(t, ntuple.d_i) is (direction < 1) and in_region(t, ntuple.d_ii) is (direction > 1)
 
 
 def test_near_tie_decided_on_exact_values():

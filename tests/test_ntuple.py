@@ -19,6 +19,7 @@ from cyclictuples.core import (
     Reason,
     Status,
     WitnessSystem,
+    exact,
     in_region,
 )
 from cyclictuples.ntuple import (
@@ -169,8 +170,9 @@ class TestWitness:
             for d in w.dists:
                 assert sum(x for _, x in d.atoms) == 1
                 assert all(0 <= x <= 1 for _, x in d.atoms)
-                assert not (d.support & seen)
-                seen |= d.support
+                support = {p for p, _ in d.atoms}
+                assert not (support & seen)
+                seen |= support
             assert verify_witness(w, t)
 
     @settings(max_examples=150, deadline=None)
@@ -193,6 +195,31 @@ class TestWitness:
             )
             return
         assert verify_witness(w, t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(4, 9), st.data())
+    def test_verify_equals_exact_comparison(self, n, data):
+        # verify_witness compares integer ratios; it must agree with an
+        # equality of exact values, also one ulp or 1/q^2 off a coordinate
+        coordinate = st.one_of(
+            st.floats(0, 1), st.fractions(0, 1, max_denominator=50), st.sampled_from([0, 1])
+        )
+        values = [data.draw(coordinate) for _ in range(n)]
+        try:
+            w = build_witness(values)
+        except HypothesisNotMetError:
+            return
+        j = data.draw(st.integers(0, n - 1))
+        step = data.draw(st.sampled_from([-1, 0, 1]))
+        v = values[j]
+        if isinstance(v, float):
+            u = math.nextafter(v, step * math.inf) if step else v
+        else:
+            u = Fraction(v) + Fraction(step, Fraction(v).denominator ** 2)
+        values[j] = min(max(u, 0), 1)  # a perturbation off [0, 1] is undone
+        verified = verify_witness(w, values)
+        assert verified == (w.cycle_probabilities() == tuple(map(exact, values)))
+        assert verified == (exact(values[j]) == exact(v))
 
     def test_verify_rejects_mismatches(self):
         w, t = efron_dice()
