@@ -14,18 +14,17 @@ values.  numpy columns pass straight through.  Volume and density paths work
 in ordinary binary floats.  All types here are immutable and safe to share
 across workers.
 
-Witness arithmetic runs on integers.  ``ntuple.build_witness`` checks and
-builds each distribution from its integer points and weight numerators on
-one denominator (``DiscreteDist._on_integers``).  A distribution's integer
-view holds its point numerators on the lcm of the point denominators and
-its weight numerators on the lcm of the weight denominators, sorted by point.
-``prob_greater_than`` and ``WitnessSystem.cycle_probabilities`` merge two
-sorted views with a running integer sum of the weights below, so verifying
-s atoms costs O(s log s), and build one Fraction at the end.  Caps bound
-what input can ask for: ``MAX_TOKEN_DIGITS`` digits in the numerator or
-denominator of an exact token, checked on the text before conversion;
+Witness arithmetic runs on integers.  A ``DiscreteDist`` stores its points
+as numerators on one denominator and its weights as numerators on another,
+sorted by point; ``ntuple.build_witness`` constructs each one from such
+integers, and ``DiscreteDist.from_atoms`` puts rational pairs on their lcms.
+``prob_greater_than`` merges two distributions with a running integer sum
+of the weights below, so the cycle probabilities of s atoms cost O(s) once
+the constructor has sorted them, and builds one Fraction at the end.  Caps
+bound what input can ask for: ``MAX_TOKEN_DIGITS`` digits in the numerator
+or denominator of an exact token, checked on the text before conversion;
 ``MAX_WITNESS_BYTES`` bytes and ``MAX_WITNESS_ATOMS`` atoms in a witness
-file; ``MAX_VIEW_BITS`` bits in one integer view.
+file; ``MAX_VIEW_BITS`` bits in the numerators of ``from_atoms``.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from __future__ import annotations
 import enum
 import math
 import reprlib
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
@@ -50,8 +50,8 @@ MAX_TOKEN_DIGITS = 4300
 MAX_WITNESS_ATOMS = 10**6
 # Bytes of a witness file, read before parsing: 10**6 atoms at the 119 per atom `witness` prints.
 MAX_WITNESS_BYTES = 2**27
-# Bits of one distribution's integer view: its atom count times the size of
-# its common denominator, for the points and for the weights alike.
+# Bits of one distribution built by ``from_atoms``: its atom count times the
+# size of its common denominator, for the points and for the weights alike.
 MAX_VIEW_BITS = 2**30
 
 
@@ -285,55 +285,73 @@ def format_tuple(t: ProbTuple) -> str:
 
 @dataclass(frozen=True, slots=True)
 class DiscreteDist:
-    """A finitely supported distribution with exact rational weights.
+    """A finitely supported distribution with exact rational weights, held
+    on integers: atom i is the point ``points[i] / dp`` with the weight
+    ``weights[i] / dw``.
 
-    ``atoms`` maps distinct support points to weights that are nonnegative
-    and sum exactly to 1, checked on integers: each point as its reduced
-    (numerator, denominator) pair, the weights as numerators on their lcm.
+    The points are distinct and the weights nonnegative, summing exactly to
+    ``dw``.  The atoms are stored sorted by point and each denominator
+    divided by its gcd with its numerators, so ``==`` is value equality.
     """
 
-    atoms: tuple[tuple[Fraction, Fraction], ...]
+    points: tuple[int, ...]
+    weights: tuple[int, ...]
+    dp: int = 1
+    dw: int = 1
 
     def __post_init__(self) -> None:
-        atoms = tuple(self.atoms)
-        if not all(map(_is_fraction_pair, atoms)):
-            atoms = tuple((Fraction(p), Fraction(w)) for p, w in atoms)
-        object.__setattr__(self, "atoms", atoms)
-        points = [p.as_integer_ratio() for p, _ in atoms]
-        _check_atoms(points, *_common([w.as_integer_ratio() for _, w in atoms]))
+        points, weights, dp, dw = self.points, self.weights, self.dp, self.dw
+        pairs = sorted(zip(points, weights, strict=True))
+        if dp < 1 or dw < 1:
+            raise ValueError("denominators must be positive")
+        if len(set(points)) != len(points):
+            raise ValueError("support points must be distinct")
+        if weights and min(weights) < 0:
+            raise ValueError(f"negative weight {Fraction(next(w for w in weights if w < 0), dw)}")
+        if sum(weights) != dw:
+            raise ValueError(f"weights sum to {Fraction(sum(weights), dw)}, not 1")
+        gp, gw = math.gcd(dp, *points), math.gcd(dw, *weights)
+        object.__setattr__(self, "points", tuple([p // gp for p, _ in pairs]))
+        object.__setattr__(self, "weights", tuple([w // gw for _, w in pairs]))
+        object.__setattr__(self, "dp", dp // gp)
+        object.__setattr__(self, "dw", dw // gw)
 
     @classmethod
-    def _on_integers(cls, atoms: Sequence[tuple[int, int]], d: int) -> "DiscreteDist":
-        """Weight w/d at each int point p of the pairs (p, w) in ``atoms``, in
-        their order, after the checks of ``__post_init__`` on these integers."""
-        _check_atoms([p for p, _ in atoms], [w for _, w in atoms], d)
-        dist = object.__new__(cls)
-        object.__setattr__(dist, "atoms", tuple([(Fraction(p), Fraction(w, d)) for p, w in atoms]))
-        return dist
+    def from_atoms(cls, atoms: Iterable[tuple]) -> "DiscreteDist":
+        """The distribution of the (point, weight) pairs in ``atoms``, each
+        value exact: an int, a float, a Fraction or a "p/q" string."""
+        ratios = [(Fraction(p).as_integer_ratio(), Fraction(w).as_integer_ratio()) for p, w in atoms]
+        points, dp = _common([p for p, _ in ratios])
+        weights, dw = _common([w for _, w in ratios])
+        return cls(tuple(points), tuple(weights), dp, dw)
 
     @classmethod
     def from_faces(cls, faces: Sequence[Number]) -> "DiscreteDist":
         """Uniform distribution over die faces (repeated faces merge)."""
-        weights: dict[Fraction, Fraction] = {}
-        share = Fraction(1, len(faces))
-        for f in faces:
-            p = Fraction(f)
-            weights[p] = weights.get(p, Fraction(0)) + share
-        return cls(tuple(sorted(weights.items())))
+        counts = Counter(map(Fraction, faces))
+        return cls.from_atoms((p, Fraction(c, len(faces))) for p, c in counts.items())
+
+    @property
+    def atoms(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The (point, weight) pairs as reduced Fractions, in point order."""
+        dp, dw = self.dp, self.dw
+        return tuple((Fraction(p, dp), Fraction(w, dw)) for p, w in zip(self.points, self.weights))
 
     def prob_greater_than(self, other: "DiscreteDist") -> Fraction:
-        """P(self > other), exact, by one merge of the two sorted supports."""
-        return _prob_greater(_view(self.atoms), _view(other.atoms))
-
-
-def _check_atoms(points: list, weights: list[int], d: int) -> None:
-    """Distinct points (ints or reduced ratios); weight numerators on d, >= 0, summing to d."""
-    if len(set(points)) != len(points):
-        raise ValueError("support points must be distinct")
-    if weights and min(weights) < 0:
-        raise ValueError(f"negative weight {Fraction(next(w for w in weights if w < 0), d)}")
-    if sum(weights) != d:
-        raise ValueError(f"weights sum to {Fraction(sum(weights), d)}, not 1")
+        """P(self > other), exact, by one merge of the two sorted supports
+        with a running sum of other's weights strictly below each point."""
+        a_points, b_points, b_weights = self.points, other.points, other.weights
+        if self.dp != other.dp:  # a/a_dp > b/b_dp  iff  a*b_dp > b*a_dp
+            a_points = [p * other.dp for p in a_points]
+            b_points = [p * self.dp for p in b_points]
+        total = below = j = 0
+        m = len(b_points)
+        for p, w in zip(a_points, self.weights):
+            while j < m and b_points[j] < p:
+                below += b_weights[j]
+                j += 1
+            total += w * below
+        return Fraction(total, self.dw * other.dw)
 
 
 def _common(ratios: list[tuple[int, int]]) -> tuple[list[int], int]:
@@ -349,39 +367,6 @@ def _common(ratios: list[tuple[int, int]]) -> tuple[list[int], int]:
                 f"{MAX_VIEW_BITS // count} bits"
             )
     return [p * (d // q) for p, q in ratios], d
-
-
-def _is_fraction_pair(atom) -> bool:
-    return type(atom) is tuple and len(atom) == 2 and type(atom[0]) is type(atom[1]) is Fraction
-
-
-def _view(atoms) -> tuple[list[int], int, list[int], int]:
-    """The integer view of a distribution's atoms, sorted by point: the
-    point numerators on dp, the lcm of the point denominators, and the
-    weight numerators on dw, the lcm of the weight denominators."""
-    points, dp = _common([p.as_integer_ratio() for p, _ in atoms])
-    weights, dw = _common([w.as_integer_ratio() for _, w in atoms])
-    pairs = sorted(zip(points, weights))
-    return [p for p, _ in pairs], dp, [w for _, w in pairs], dw
-
-
-def _prob_greater(a, b) -> Fraction:
-    """P(A > B) for independent A and B given by their integer views: one
-    merge of the sorted points, with a running sum of B's weights strictly
-    below each point of A (equal points add nothing)."""
-    a_points, a_dp, a_weights, a_dw = a
-    b_points, b_dp, b_weights, b_dw = b
-    if a_dp != b_dp:  # a/a_dp > b/b_dp  iff  a*b_dp > b*a_dp
-        a_points = [p * b_dp for p in a_points]
-        b_points = [p * a_dp for p in b_points]
-    total = below = j = 0
-    m = len(b_points)
-    for p, w in zip(a_points, a_weights):
-        while j < m and b_points[j] < p:
-            below += b_weights[j]
-            j += 1
-        total += w * below
-    return Fraction(total, a_dw * b_dw)
 
 
 def _wire_value(atom, key: str) -> Fraction:
@@ -414,8 +399,8 @@ class WitnessSystem:
         object.__setattr__(self, "dists", dists)
         if len(dists) < 3:
             raise ValueError("a witness needs at least 3 distributions")
-        points = {p.as_integer_ratio() for d in dists for p, _ in d.atoms}
-        if len(points) != sum(len(d.atoms) for d in dists):
+        points = {(p // g, d.dp // g) for d in dists for p in d.points for g in [math.gcd(p, d.dp)]}
+        if len(points) != sum(len(d.points) for d in dists):
             raise ValueError("supports of distinct distributions must be disjoint")
 
     @property
@@ -423,17 +408,9 @@ class WitnessSystem:
         return len(self.dists)
 
     def cycle_probabilities(self) -> tuple[Fraction, ...]:
-        """(P(U_2 > U_1), ..., P(U_1 > U_n)), each exact.  Each
-        distribution's integer view is built once; only the first and the
-        previous one are kept."""
-        first = previous = _view(self.dists[0].atoms)
-        probs = []
-        for d in self.dists[1:]:
-            current = _view(d.atoms)
-            probs.append(_prob_greater(current, previous))
-            previous = current
-        probs.append(_prob_greater(first, previous))
-        return tuple(probs)
+        """(P(U_2 > U_1), ..., P(U_1 > U_n)), each exact."""
+        dists = self.dists
+        return tuple(b.prob_greater_than(a) for a, b in zip(dists, dists[1:] + dists[:1]))
 
     def to_json_dict(self) -> dict:
         """Lossless wire form: rational values as "p/q" strings."""
@@ -458,8 +435,8 @@ class WitnessSystem:
         for atoms in dists:
             if not isinstance(atoms, list):
                 raise ValueError("each witness distribution must be a list of atoms")
-            pairs = tuple((_wire_value(a, "point"), _wire_value(a, "weight")) for a in atoms)
-            parsed.append(DiscreteDist(pairs))
+            pairs = ((_wire_value(a, "point"), _wire_value(a, "weight")) for a in atoms)
+            parsed.append(DiscreteDist.from_atoms(pairs))
         system = cls(tuple(parsed))
         if "n" in data and data["n"] != system.n:
             raise ValueError(f"declared n={data['n']} but found {system.n} distributions")

@@ -174,7 +174,7 @@ def build_witness(t: ProbTuple | Sequence[Number], index: int | None = None) -> 
     raw.append(([(1 - n, (qa - pa) * qb), (n - 1, middle), (n + 2, (qb - pb) * qa)], qa * qb))
     raw.append(([(n, 1)], 1))
 
-    dists_y = [DiscreteDist._on_integers([a for a in atoms if a[1]], d) for atoms, d in raw]
+    dists_y = [DiscreteDist(*zip(*[a for a in atoms if a[1]]), dw=d) for atoms, d in raw]
     # Undo the rotation: distribution m of the original tuple is
     # distribution (m - k) mod n of the rotated one.
     return WitnessSystem(tuple(dists_y[(m - k) % n] for m in range(n)))

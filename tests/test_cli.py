@@ -269,6 +269,14 @@ class TestUsageErrors:
                 assert f"witness JSON has more than {limit} bytes" in err and "Traceback" not in err
 
 
+    def test_deeply_nested_witness_exit_two(self, capsys, monkeypatch):
+        text = b"[" * 100_000 + b"]" * 100_000
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text)))
+        code = main(["check", "--tuple", "0.6,0.5,0.3,0.4", "--verify-witness", "-"])
+        err = capsys.readouterr().err
+        assert code == 2 and "witness JSON is nested too deeply" in err
+
+
 def test_report_draws_one_sample(capsys, monkeypatch):
     calls = []
     sampler = triple.sample_ordered_cyclic

@@ -149,7 +149,7 @@ class TestVerdict:
                 Status.NOT_CYCLIC,
                 Reason.MIN_EXCEEDS_PI_N,
                 witness=WitnessSystem(
-                    tuple(DiscreteDist(((Fraction(k), Fraction(1)),)) for k in range(3))
+                    tuple(DiscreteDist((k,), (1,)) for k in range(3))
                 ),
             )
 
@@ -157,11 +157,11 @@ class TestVerdict:
 class TestDiscreteDist:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            DiscreteDist(((Fraction(0), Fraction(1, 2)),))
+            DiscreteDist.from_atoms(((Fraction(0), Fraction(1, 2)),))
         with pytest.raises(ValueError):
-            DiscreteDist(((Fraction(0), Fraction(1, 2)), (Fraction(0), Fraction(1, 2))))
+            DiscreteDist.from_atoms(((Fraction(0), Fraction(1, 2)), (Fraction(0), Fraction(1, 2))))
         with pytest.raises(ValueError):
-            DiscreteDist(((Fraction(0), Fraction(3, 2)), (Fraction(1), Fraction(-1, 2))))
+            DiscreteDist.from_atoms(((Fraction(0), Fraction(3, 2)), (Fraction(1), Fraction(-1, 2))))
 
     def test_from_faces_merges(self):
         d = DiscreteDist.from_faces([0, 0, 4, 4, 4, 4])
@@ -221,21 +221,42 @@ class TestIntegerView:
     @given(dist_pairs())
     def test_equals_double_loop(self, pair):
         a, b = pair
-        da, db = DiscreteDist(a), DiscreteDist(b)
+        da, db = DiscreteDist.from_atoms(a), DiscreteDist.from_atoms(b)
         assert da.prob_greater_than(db) == _greater_by_enumeration(a, b)
         assert db.prob_greater_than(da) == _greater_by_enumeration(b, a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dist_pairs(), st.randoms(use_true_random=False), st.integers(1, 6), st.integers(1, 6))
+    def test_order_and_scale_do_not_matter(self, pair, rnd, k, m):
+        a, b = pair
+        shuffled = list(a)
+        rnd.shuffle(shuffled)
+        da, db = DiscreteDist.from_atoms(sorted(a)), DiscreteDist.from_atoms(b)
+        assert DiscreteDist.from_atoms(shuffled) == da
+        # the same values on denominators k and m times too large
+        dp = math.lcm(*(p.denominator for p, _ in a)) * k
+        dw = math.lcm(*(w.denominator for _, w in a)) * m
+        scaled = DiscreteDist(
+            tuple(int(p * dp) for p, _ in shuffled), tuple(int(w * dw) for _, w in shuffled), dp, dw
+        )
+        assert scaled == da and scaled.atoms == tuple(sorted(a))
+        assert scaled.prob_greater_than(db) == da.prob_greater_than(db) == _greater_by_enumeration(a, b)
 
     def test_error_messages(self):
         half = Fraction(1, 2)
         cases = [
-            (lambda: DiscreteDist(((Fraction(0), half),)), "weights sum to 1/2, not 1"),
-            (lambda: DiscreteDist(((Fraction(0), half), (Fraction(0), half))),
+            (lambda: DiscreteDist.from_atoms(((Fraction(0), half),)), "weights sum to 1/2, not 1"),
+            (lambda: DiscreteDist.from_atoms(((Fraction(0), half), (Fraction(0), half))),
              "support points must be distinct"),
-            (lambda: DiscreteDist(((Fraction(0), Fraction(3, 2)), (Fraction(1), -half))),
+            (lambda: DiscreteDist.from_atoms(((Fraction(0), Fraction(3, 2)), (Fraction(1), -half))),
              "negative weight -1/2"),
             (lambda: WitnessSystem((DiscreteDist.from_faces([1]),) * 2),
              "a witness needs at least 3 distributions"),
             (lambda: WitnessSystem(tuple(DiscreteDist.from_faces(f) for f in ([1, 2], [2, 3], [5]))),
+             "supports of distinct distributions must be disjoint"),
+            # 1/2 and 3/6 are one point
+            (lambda: WitnessSystem((DiscreteDist((1,), (1,), 2), DiscreteDist((3, 5), (1, 1), 6, 2),
+                                    DiscreteDist((7,), (1,)))),
              "supports of distinct distributions must be disjoint"),
         ]
         for build, message in cases:
@@ -249,23 +270,23 @@ class TestIntegerView:
             ([(0, 1)], 2, "weights sum to 1/2, not 1"),
             ([(0, 1), (0, 1)], 2, "support points must be distinct"),
             ([(0, 3), (1, -1)], 2, "negative weight -1/2"),
+            ([(5, -3), (0, -1), (1, 5)], 1, "negative weight -3"),  # the first in input order
+            ([(0, 0)], 0, "denominators must be positive"),
         ],
     )
     def test_integer_constructor_messages(self, atoms, d, message):
-        # the same bad atoms, given as Fractions and as integers on d
-        fractions = tuple((Fraction(p), Fraction(w, d)) for p, w in atoms)
-        for build in (lambda: DiscreteDist(fractions), lambda: DiscreteDist._on_integers(atoms, d)):
-            with pytest.raises(ValueError) as exc:
-                build()
-            assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            DiscreteDist(*zip(*atoms), 1, d)
+        assert str(exc.value) == message
 
     def test_integer_constructor_reduces(self):
-        d = DiscreteDist._on_integers([(-2, 2), (3, 6)], 8)
-        assert d == DiscreteDist(((Fraction(-2), Fraction(1, 4)), (Fraction(3), Fraction(3, 4))))
-        assert [(p.denominator, w.denominator) for p, w in d.atoms] == [(1, 4), (1, 4)]
+        d = DiscreteDist((3, -2), (6, 2), 1, 8)
+        assert d == DiscreteDist.from_atoms(((Fraction(-2), Fraction(1, 4)), (Fraction(3), Fraction(3, 4))))
+        assert (d.points, d.weights, d.dp, d.dw) == ((-2, 3), (1, 3), 1, 4)
+        assert DiscreteDist((2, 6), (1, 1), 4, 2) == DiscreteDist((1, 3), (1, 1), 2, 2)
 
     def test_atoms_of_other_types_are_converted(self):
-        d = DiscreteDist([[0, "1/4"], (1.5, Fraction(3, 4))])
+        d = DiscreteDist.from_atoms([[0, "1/4"], (1.5, Fraction(3, 4))])
         assert d.atoms == ((Fraction(0), Fraction(1, 4)), (Fraction(3, 2), Fraction(3, 4)))
 
     def test_integer_view_is_capped(self, monkeypatch):
@@ -274,7 +295,7 @@ class TestIntegerView:
         tiny = Fraction(1, 2**20)  # 5 weights on a 21-bit denominator: 105 bits
         atoms = tuple((Fraction(k), tiny) for k in range(4)) + ((Fraction(4), 1 - 4 * tiny),)
         with pytest.raises(ValueError, match="common denominator"):
-            DiscreteDist(atoms)
+            DiscreteDist.from_atoms(atoms)
 
 
 class TestWitnessSystem:
@@ -288,8 +309,8 @@ class TestWitnessSystem:
     def test_json_round_trip_lossless(self):
         w = WitnessSystem(
             (
-                DiscreteDist(((Fraction(-2), Fraction(3, 7)), (Fraction(2), Fraction(4, 7)))),
-                DiscreteDist(((Fraction(1, 3), Fraction(1)),)),
+                DiscreteDist.from_atoms(((Fraction(-2), Fraction(3, 7)), (Fraction(2), Fraction(4, 7)))),
+                DiscreteDist.from_atoms(((Fraction(1, 3), Fraction(1)),)),
                 DiscreteDist.from_faces([5, 6, 6]),
             )
         )

@@ -209,6 +209,7 @@ class TestWitness:
             w = build_witness(values)
         except HypothesisNotMetError:
             return
+        assert WitnessSystem.from_json_dict(w.to_json_dict()) == w
         j = data.draw(st.integers(0, n - 1))
         step = data.draw(st.sampled_from([-1, 0, 1]))
         v = values[j]
@@ -230,6 +231,9 @@ class TestWitness:
         t = ProbTuple((Fraction(3, 5), Fraction(1, 2), Fraction(3, 10), Fraction(2, 5)))
         w = WitnessSystem.from_json_dict(build_witness(t).to_json_dict())
         assert verify_witness(w, t)
+        assert w == build_witness(t)
+        long = _reference_long_tuple()
+        assert WitnessSystem.from_json_dict(build_witness(long).to_json_dict()) == build_witness(long)
 
 
 def _witness_sha(t) -> str:
@@ -272,10 +276,7 @@ def test_verify_large_system_against_double_loop():
     for d in range(3):
         counts = [rnd.randint(0, 10**6) for _ in range(2000)]
         raw.append((list(zip(points[d::3], counts)), sum(counts)))
-    w = WitnessSystem(tuple(
-        DiscreteDist(tuple((Fraction(p), Fraction(c, total)) for p, c in atoms))
-        for atoms, total in raw
-    ))
+    w = WitnessSystem(tuple(DiscreteDist(*zip(*atoms), dw=total) for atoms, total in raw))
     want = []
     for (a, ta), (b, tb) in zip(raw[1:] + raw[:1], raw):
         pairs = sum(ca * sum(cb for pb, cb in b if pb < pa) for pa, ca in a)
