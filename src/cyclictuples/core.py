@@ -24,7 +24,8 @@ the constructor has sorted them, and builds one Fraction at the end.  Caps
 bound what input can ask for: ``MAX_TOKEN_DIGITS`` digits in the numerator
 or denominator of an exact token, checked on the text before conversion;
 ``MAX_WITNESS_BYTES`` bytes and ``MAX_WITNESS_ATOMS`` atoms in a witness
-file; ``MAX_VIEW_BITS`` bits in the numerators of ``from_atoms``.
+file; ``MAX_VIEW_BITS`` bits in the numerators of one ``from_atoms`` call
+and in all the numerators a witness file's distributions store.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ MAX_TOKEN_DIGITS = 4300
 MAX_WITNESS_ATOMS = 10**6
 # Bytes of a witness file, read before parsing: 10**6 atoms at the 119 per atom `witness` prints.
 MAX_WITNESS_BYTES = 2**27
-# Bits of one distribution built by ``from_atoms``: its atom count times the
-# size of its common denominator, for the points and for the weights alike.
+# Bits of numerators, counted as atoms times the size of their common
+# denominator: for the points and for the weights of one distribution built
+# by ``from_atoms``, and in all over the distributions of a witness file.
 MAX_VIEW_BITS = 2**30
 
 
@@ -290,8 +292,10 @@ class DiscreteDist:
     ``weights[i] / dw``.
 
     The points are distinct and the weights nonnegative, summing exactly to
-    ``dw``.  The atoms are stored sorted by point and each denominator
-    divided by its gcd with its numerators, so ``==`` is value equality.
+    ``dw``.  The atoms are stored sorted by point, and the denominators as
+    given: a gcd over one distribution's numerators takes time quadratic in
+    their length.  ``==`` compares the reduced ``atoms`` instead, so it is
+    value equality.
     """
 
     points: tuple[int, ...]
@@ -301,7 +305,8 @@ class DiscreteDist:
 
     def __post_init__(self) -> None:
         points, weights, dp, dw = self.points, self.weights, self.dp, self.dw
-        pairs = sorted(zip(points, weights, strict=True))
+        if len(points) != len(weights):
+            raise ValueError(f"{len(points)} points but {len(weights)} weights")
         if dp < 1 or dw < 1:
             raise ValueError("denominators must be positive")
         if len(set(points)) != len(points):
@@ -310,11 +315,17 @@ class DiscreteDist:
             raise ValueError(f"negative weight {Fraction(next(w for w in weights if w < 0), dw)}")
         if sum(weights) != dw:
             raise ValueError(f"weights sum to {Fraction(sum(weights), dw)}, not 1")
-        gp, gw = math.gcd(dp, *points), math.gcd(dw, *weights)
-        object.__setattr__(self, "points", tuple([p // gp for p, _ in pairs]))
-        object.__setattr__(self, "weights", tuple([w // gw for _, w in pairs]))
-        object.__setattr__(self, "dp", dp // gp)
-        object.__setattr__(self, "dw", dw // gw)
+        # ``build_witness`` passes sorted tuples: leave those as they are.
+        if type(points) is not tuple or type(weights) is not tuple or sorted(points) != list(points):
+            pairs = sorted(zip(points, weights))
+            object.__setattr__(self, "points", tuple([p for p, _ in pairs]))
+            object.__setattr__(self, "weights", tuple([w for _, w in pairs]))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DiscreteDist) and self.atoms == other.atoms
+
+    def __hash__(self) -> int:
+        return hash(self.atoms)
 
     @classmethod
     def from_atoms(cls, atoms: Iterable[tuple]) -> "DiscreteDist":
@@ -431,12 +442,19 @@ class WitnessSystem:
         count = sum(len(atoms) for atoms in dists if isinstance(atoms, list))
         if count > MAX_WITNESS_ATOMS:
             raise ValueError(f"witness has {count} atoms, at most {MAX_WITNESS_ATOMS} allowed")
-        parsed = []
+        parsed, bits = [], 0
         for atoms in dists:
             if not isinstance(atoms, list):
                 raise ValueError("each witness distribution must be a list of atoms")
             pairs = ((_wire_value(a, "point"), _wire_value(a, "weight")) for a in atoms)
-            parsed.append(DiscreteDist.from_atoms(pairs))
+            dist = DiscreteDist.from_atoms(pairs)
+            bits += len(dist.points) * (dist.dp.bit_length() + dist.dw.bit_length())
+            if bits > MAX_VIEW_BITS:
+                raise ValueError(
+                    f"witness distributions need more than {MAX_VIEW_BITS} bits of "
+                    "numerators in all"
+                )
+            parsed.append(dist)
         system = cls(tuple(parsed))
         if "n" in data and data["n"] != system.n:
             raise ValueError(f"declared n={data['n']} but found {system.n} distributions")

@@ -250,6 +250,7 @@ class TestIntegerView:
              "support points must be distinct"),
             (lambda: DiscreteDist.from_atoms(((Fraction(0), Fraction(3, 2)), (Fraction(1), -half))),
              "negative weight -1/2"),
+            (lambda: DiscreteDist((0, 1), (1,)), "2 points but 1 weights"),
             (lambda: WitnessSystem((DiscreteDist.from_faces([1]),) * 2),
              "a witness needs at least 3 distributions"),
             (lambda: WitnessSystem(tuple(DiscreteDist.from_faces(f) for f in ([1, 2], [2, 3], [5]))),
@@ -282,8 +283,13 @@ class TestIntegerView:
     def test_integer_constructor_reduces(self):
         d = DiscreteDist((3, -2), (6, 2), 1, 8)
         assert d == DiscreteDist.from_atoms(((Fraction(-2), Fraction(1, 4)), (Fraction(3), Fraction(3, 4))))
-        assert (d.points, d.weights, d.dp, d.dw) == ((-2, 3), (1, 3), 1, 4)
-        assert DiscreteDist((2, 6), (1, 1), 4, 2) == DiscreteDist((1, 3), (1, 1), 2, 2)
+        assert [(p.denominator, w.denominator) for p, w in d.atoms] == [(1, 4), (1, 4)]
+        assert (d.points, d.weights, d.dp, d.dw) == ((-2, 3), (2, 6), 1, 8)  # sorted, as given
+        halves, same = DiscreteDist((2, 6), (1, 1), 4, 2), DiscreteDist((1, 3), (1, 1), 2, 2)
+        assert halves == same and hash(halves) == hash(same)
+        assert halves != DiscreteDist((1, 3), (1, 1), 4, 2) and halves != halves.atoms
+        listed = DiscreteDist([-2, 3], [2, 6], 1, 8)  # already sorted, but lists
+        assert listed == d and type(listed.points) is type(listed.weights) is tuple
 
     def test_atoms_of_other_types_are_converted(self):
         d = DiscreteDist.from_atoms([[0, "1/4"], (1.5, Fraction(3, 4))])
@@ -347,6 +353,21 @@ class TestWitnessSystem:
         WitnessSystem.from_json_dict(data)
         monkeypatch.setattr(core, "MAX_WITNESS_ATOMS", 6)
         with pytest.raises(ValueError, match="7 atoms, at most 6"):
+            WitnessSystem.from_json_dict(data)
+
+    def test_numerator_bits_capped_in_all(self, monkeypatch):
+        # Each distribution: 3 points on 2**20 (21 bits) and 3 weights on 3
+        # (2 bits), 69 bits; each passes the per-distribution cap of 100.
+        data = {"dists": [
+            [{"point": f"{2 * (3 * i + j) + 1}/{2**20}", "weight": "1/3"} for j in range(3)]
+            for i in range(4)
+        ]}
+        monkeypatch.setattr(core, "MAX_VIEW_BITS", 4 * 69)
+        WitnessSystem.from_json_dict(data)
+        monkeypatch.setattr(core, "MAX_VIEW_BITS", 100)
+        for atoms in data["dists"]:
+            DiscreteDist.from_atoms((a["point"], a["weight"]) for a in atoms)
+        with pytest.raises(ValueError, match="more than 100 bits of numerators in all"):
             WitnessSystem.from_json_dict(data)
 
     def test_n_mismatch_rejected(self):
