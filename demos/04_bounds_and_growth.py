@@ -47,6 +47,7 @@ for n in range(4, 9):
         f" {res['upper'].estimate:10.6f} {b.upper:13.6f}"
     )
 print()
-print("The MC lower line tracks the sharper closed bound 1 - A_(n-1)/(n-1)!:")
+print("The MC lines track the sharper closed bounds 1 - A_(n-1)/(n-1)! and 1 - 2(1 - pi_n)^n:")
 for n in range(4, 9):
-    print(f"  n={n}: sharper lower = {pn_bounds(n).sharper_lower:.6f}")
+    b = pn_bounds(n)
+    print(f"  n={n}: sharper lower = {b.sharper_lower:.6f}, sharper upper = {b.sharper_upper:.6f}")

@@ -383,10 +383,12 @@ def _common(ratios: list[tuple[int, int]]) -> tuple[list[int], int]:
 def _wire_value(atom, key: str) -> Fraction:
     """One exact value of a witness atom: a "p/q" string or a JSON number."""
     if not isinstance(atom, dict) or key not in atom:
-        raise ValueError(f'each witness atom must be an object with "point" and "weight", got {atom!r}')
+        raise ValueError(
+            f'each witness atom must be an object with "point" and "weight", got {reprlib.repr(atom)}'
+        )
     value = atom[key]
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise ValueError(f"witness atom {key} must be a p/q string or a number, got {value!r}")
+        raise ValueError(f"witness atom {key} must be a p/q string or a number, got {reprlib.repr(value)}")
     if isinstance(value, str) and _token_digits(value) > MAX_TOKEN_DIGITS:
         raise ValueError(
             f"witness atom {key} {reprlib.repr(value)} has a numerator or denominator "
@@ -395,7 +397,7 @@ def _wire_value(atom, key: str) -> Fraction:
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, OverflowError):
-        raise ValueError(f"witness atom {key} {value!r} is not a finite rational") from None
+        raise ValueError(f"witness atom {key} {reprlib.repr(value)} is not a finite rational") from None
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,8 +19,14 @@ so a block's columns and the predicate's temporaries stay in cache.  At
 large n that leaves so few points per block that the per-column numpy
 calls dominate, so a block holds at least ``_MIN_ROWS`` points; it never
 holds more than ``_MAX_BLOCK_WORDS`` (3 * 2^20) words, which caps the
-memory per worker.  Every predicate reads C-contiguous columns
-(``uniform_matrix(...).T``).  Block sizes change no result.
+memory per worker.  Every predicate reads C-contiguous columns: the
+(dim x points) array that ``rng.uniform_words`` draws in place.  Each
+thread keeps its ``rng.BlockBuffers`` (the float block and the counter
+offsets) across ``estimate`` calls in a ``threading.local`` and draws
+every block into them.  A thread keeps buffers of at most ``BLOCK_WORDS``
+words, which covers every target at n <= 16; a chunk with larger blocks
+gets buffers of its own, and a pool thread's buffers go when the pool
+exits.  Block sizes change no result.
 
 No region is written here.  Each target calls its predicate from
 ``triple`` (``cyclic``, ``nontransitive``, ``c3_i``, ``c3_ii``,
@@ -33,14 +39,15 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import ntuple, triple
+from . import ntuple, rng, triple
 from .core import DensityGrid, MCEstimate
-from .rng import BLOCK_WORDS, uniform_matrix
+from .rng import BLOCK_WORDS
 from .triple import sample_ordered_cyclic
 
 _MIN_ROWS = 3072  # floor on points per block; equals the cap at n = MAX_N
@@ -49,6 +56,7 @@ MAX_CHUNKS = 1024  # each chunk is one task and one (start, stop) pair
 MAX_BINS = 10**6
 MAX_SAMPLES = 10**11  # p3 at 10^11 samples takes about an hour on two cores
 _COLUMNS = {"f1": 0, "f2": 1, "f3": 2}  # histogram's density -> sample column
+_kept = threading.local()  # .buffers: the thread's rng.BlockBuffers, kept across calls
 
 SINGLE_TARGETS = ("p3", "p3_star", "vol_C3_I", "vol_C3_II", "vol_C3_ordered", "vol_Dn_star")
 BRACKET_TARGETS = ("pn_bracket",)
@@ -111,15 +119,27 @@ def _chunk_ranges(samples: int, chunks: int) -> list[tuple[int, int]]:
     return ranges
 
 
+def _block_buffers(words: int) -> rng.BlockBuffers:
+    """The calling thread's kept buffers for blocks of at most
+    ``BLOCK_WORDS`` words, fresh ones for larger blocks."""
+    if words > BLOCK_WORDS:
+        return rng.BlockBuffers()
+    if not hasattr(_kept, "buffers"):
+        _kept.buffers = rng.BlockBuffers()
+    return _kept.buffers
+
+
 def _count_chunk(spec: EstimatorSpec, start: int, stop: int) -> tuple[int, ...]:
     single = spec.target != "pn_bracket"
+    dim = spec.dim
     hits = 0
     misses = 0
-    rows = min(max(BLOCK_WORDS // spec.dim, _MIN_ROWS), _MAX_BLOCK_WORDS // spec.dim)
+    rows = min(max(BLOCK_WORDS // dim, _MIN_ROWS), _MAX_BLOCK_WORDS // dim, stop - start)
+    buffers = _block_buffers(rows * dim)
     pos = start
     while pos < stop:
         count = min(rows, stop - pos)
-        cols = uniform_matrix(spec.seed, pos, count, spec.dim).T
+        cols = rng.uniform_words(spec.seed, pos * dim, count * dim, dim, out=buffers)
         if single:
             hits += int(_PREDICATES[spec.target](*cols).sum())
         else:

@@ -279,6 +279,7 @@ class PnBounds:
     n: int
     lower: float          # 1 - 3 (2/pi)^n
     sharper_lower: float  # 1 - A_{n-1}/(n-1)!, always >= lower
+    sharper_upper: float  # 1 - 2 (1 - pi_n)^n, always <= upper
     upper: float          # 1 - 2 (1/4)^n
 
     def to_dict(self) -> dict:
@@ -287,13 +288,23 @@ class PnBounds:
 
 def pn_bounds(n: int) -> PnBounds:
     """Closed-form bounds for p_n, n >= 4: the (2/pi)^n / (1/4)^n pair and
-    the sharper intermediate bound 1 - A_{n-1}/(n-1)! it is derived from."""
+    the sharper bounds they are derived from.
+
+    ``sharper_lower`` is the volume of the mixed-sums region (provably
+    cyclic), and ``sharper_upper`` is one minus the volume of the pi_n
+    necessity test, P(min > pi_n) + P(max < 1 - pi_n) = 2 (1 - pi_n)^n
+    (disjoint events, as pi_n > 1/2): the exact values that the two ends
+    of the Monte Carlo ``pn_bracket`` estimate.
+    """
     if not 4 <= n <= MAX_N:
         raise ValueError(f"pn_bounds requires n in [4, {MAX_N}], got {n}")
-    lower = 1.0 - 3.0 * (2.0 / math.pi) ** n
-    sharper = 1.0 - alternating_count(n - 1) / math.factorial(n - 1)
-    upper = 1.0 - 2.0 * 0.25**n
-    return PnBounds(n=n, lower=lower, sharper_lower=sharper, upper=upper)
+    return PnBounds(
+        n=n,
+        lower=1.0 - 3.0 * (2.0 / math.pi) ** n,
+        sharper_lower=1.0 - alternating_count(n - 1) / math.factorial(n - 1),
+        sharper_upper=1.0 - 2.0 * (1.0 - pi_n(n)) ** n,
+        upper=1.0 - 2.0 * 0.25**n,
+    )
 
 
 def efron_dice() -> tuple[WitnessSystem, ProbTuple]:

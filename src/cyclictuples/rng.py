@@ -11,6 +11,17 @@ points is one contiguous row, and ``uniform_matrix`` returns the
 (points x dim) transpose of that array.  Consumers draw blocks of about
 ``BLOCK_WORDS`` words, sized so a block and the temporaries computed from
 it stay in a core's cache.
+
+A block is drawn in place: the counters, the mixing and the conversion to
+floats all write into the float64 block of a ``BlockBuffers``, which also
+keeps the per-point counter offsets.  ``mc`` keeps one per thread for
+blocks of up to ``BLOCK_WORDS`` words and the sampler one per call;
+without ``out`` each call gets fresh ones.  The mixing's one uint64
+scratch array is allocated per draw.  After the first draw malloc serves
+it from its free list, and freeing it keeps glibc's dynamic mmap and trim
+thresholds above the block-sized temporaries of the region predicates:
+with a kept scratch array those temporaries were mapped or trimmed away
+and faulted in again on every block (see CHANGES.md).
 """
 
 from __future__ import annotations
@@ -29,31 +40,67 @@ _TO_UNIT = 2.0**-53
 BLOCK_WORDS = 3 << 14  # words per block for mc and the sampler; see CHANGES.md for the sweep
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _S30)) * _MIX1
-    z = (z ^ (z >> _S27)) * _MIX2
-    return z ^ (z >> _S31)
+class BlockBuffers:
+    """Where ``uniform_words(..., out=buffers)`` draws: a float64 block and
+    the counter offsets ``arange(points) * dim * GOLDEN`` of the last
+    ``dim``.  Each grows to the largest draw it has served, and a block
+    drawn into it is valid until the next draw.  One thread at a time may
+    draw into it."""
+
+    def __init__(self) -> None:
+        self.block = np.empty(0)
+        self.offsets = np.empty(0, dtype=np.uint64)
+        self._step = 0
+
+    def _fit(self, count: int, step: int) -> tuple[np.ndarray, np.ndarray]:
+        """(block, offsets) views for ``count`` words of ``step``-word points."""
+        points = count // step
+        if self.block.size < count:
+            self.block = np.empty(count)
+        if self._step != step or self.offsets.size < points:
+            self.offsets = np.arange(points, dtype=np.uint64)
+            self.offsets *= np.uint64(step * int(_GOLDEN) & _MASK64)
+            self._step = step
+        return self.block[:count].reshape(step, points), self.offsets[:points]
 
 
-def uniform_words(seed: int, start_word: int, count: int, dim: int | None = None) -> np.ndarray:
+def _mix64(z: np.ndarray, t: np.ndarray) -> None:
+    """splitmix64's output function on ``z`` in place, ``t`` its scratch."""
+    for shift, mul in ((_S30, _MIX1), (_S27, _MIX2)):
+        np.right_shift(z, shift, out=t)
+        z ^= t
+        z *= mul
+    np.right_shift(z, _S31, out=t)
+    z ^= t
+
+
+def uniform_words(
+    seed: int, start_word: int, count: int, dim: int | None = None, *, out: BlockBuffers | None = None
+) -> np.ndarray:
     """Stream words [start_word, start_word + count) as floats in [0, 1).
 
     With ``dim`` the words are returned as a (dim, count // dim) array,
     word ``start_word + i*dim + j`` at ``[j, i]``: column i holds point i.
+    With ``out`` the array is a view of its buffers, valid until their
+    next draw; without it the array is fresh.
     """
     if count < 0 or start_word < 0:
         raise ValueError("start_word and count must be nonnegative")
     if dim is not None and (dim < 1 or count % dim):
         raise ValueError("dim must be positive and divide count")
     step = dim or 1
+    block, offsets = (BlockBuffers() if out is None else out)._fit(count, step)
     # counter start_word + 1 + i*step + j, times GOLDEN, plus the key, mod
     # 2^64: a per-coordinate offset plus a per-point offset
     key = np.uint64((int(seed) + (start_word + 1) * int(_GOLDEN)) & _MASK64)
     first = key + np.arange(step, dtype=np.uint64) * _GOLDEN
-    stride = np.uint64(step * int(_GOLDEN) & _MASK64)
-    z = first[:, None] + np.arange(count // step, dtype=np.uint64) * stride
-    out = (_mix64(z) >> _S11) * _TO_UNIT
-    return out if dim else out[0]
+    z = block.view(np.uint64)
+    np.add(first[:, None], offsets, out=z)
+    scratch = np.empty_like(z)
+    _mix64(z, scratch)
+    np.right_shift(z, _S11, out=scratch)
+    np.multiply(scratch, _TO_UNIT, out=block)
+    return block if dim else block[0]
 
 
 def uniform_matrix(seed: int, start_sample: int, count: int, dim: int) -> np.ndarray:
@@ -69,13 +116,18 @@ def uniform_matrix(seed: int, start_sample: int, count: int, dim: int) -> np.nda
 
 class UniformStream:
     """Sequential view over the counter stream, for consumers like
-    rejection samplers that draw a data-dependent number of batches."""
+    rejection samplers that draw a data-dependent number of batches.
+    Every draw goes into the stream's own ``BlockBuffers``."""
 
     def __init__(self, seed: int, start_word: int = 0):
         self.seed = int(seed)
         self._pos = int(start_word)
+        self._buffers = BlockBuffers()
 
     def next_matrix(self, count: int, dim: int) -> np.ndarray:
-        out = uniform_words(self.seed, self._pos, count * dim, dim).T
+        """The next ``count`` points, one row of ``dim`` words each, as a
+        view of the stream's buffers: valid until the next draw, which
+        overwrites it."""
+        out = uniform_words(self.seed, self._pos, count * dim, dim, out=self._buffers).T
         self._pos += count * dim
         return out

@@ -98,7 +98,7 @@ class TestExactAndBounds:
     def test_bounds(self, capsys):
         code, data = run_json(capsys, "bounds", "--n", "6")
         assert code == 0
-        assert data["lower"] <= data["sharper_lower"] <= data["upper"]
+        assert data["lower"] <= data["sharper_lower"] <= data["sharper_upper"] <= data["upper"]
 
     def test_bounds_rejects_small_n(self, capsys):
         code = main(["bounds", "--n", "3"])
@@ -268,6 +268,23 @@ class TestUsageErrors:
             if want == 2:
                 assert f"witness JSON has more than {limit} bytes" in err and "Traceback" not in err
 
+
+    @pytest.mark.parametrize(
+        "dists",
+        [
+            [[[1] * 10**5]] * 3,  # each atom one long list
+            [[{"point": "a" * 200_000, "weight": "1"}]] * 3,  # a long point string
+            [[{"point": [1] * 10**5, "weight": "1"}]] * 3,  # a long point list
+        ],
+        ids=["atom-list", "point-string", "point-list"],
+    )
+    def test_bad_witness_atom_message_bounded(self, capsys, tmp_path, dists):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"n": 3, "dists": dists}))
+        code = main(["check", "--tuple", "0.6,0.5,0.3", "--verify-witness", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2 and "witness atom" in err
+        assert len(err.encode()) <= 500
 
     def test_deeply_nested_witness_exit_two(self, capsys, monkeypatch):
         text = b"[" * 100_000 + b"]" * 100_000

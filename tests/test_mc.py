@@ -1,12 +1,14 @@
 import math
 import os
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats as scistats
 
-from cyclictuples import mc, rng
+from cyclictuples import mc, ntuple, rng
 from cyclictuples.mc import EstimatorSpec, estimate, histogram
 from cyclictuples.ntuple import MAX_N, pn_bounds, vol_dn_star
 from cyclictuples.triple import OMEGA, P3, P3_STAR, VOL_C3_I, VOL_C3_II, density
@@ -72,13 +74,13 @@ class TestDeterminism:
 
     def test_blocks_capped_in_words(self, monkeypatch):
         words = []
-        draw = mc.uniform_matrix
+        draw = rng.uniform_words
 
-        def recording(seed, start, count, dim):
-            words.append(count * dim)
-            return draw(seed, start, count, dim)
+        def recording(seed, start, count, dim=None, **kwargs):
+            words.append(count)
+            return draw(seed, start, count, dim, **kwargs)
 
-        monkeypatch.setattr(mc, "uniform_matrix", recording)
+        monkeypatch.setattr(rng, "uniform_words", recording)
         for target in ("vol_Dn_star", "pn_bracket"):
             estimate(EstimatorSpec(target=target, samples=4_000, seed=1, n=MAX_N))
         assert len(words) == 4 and sum(words) == 2 * 4_000 * MAX_N
@@ -88,9 +90,9 @@ class TestDeterminism:
         words = []
         draw = rng.uniform_words
 
-        def recording(seed, start, count, dim=None):
+        def recording(seed, start, count, dim=None, **kwargs):
             words.append(count)
-            return draw(seed, start, count, dim)
+            return draw(seed, start, count, dim, **kwargs)
 
         monkeypatch.setattr(rng, "uniform_words", recording)
         samples = 3 * rng.BLOCK_WORDS // 2 + 1  # more than one block at every dim
@@ -107,6 +109,70 @@ class TestDeterminism:
         a = estimate(EstimatorSpec(target="p3", samples=100_000, seed=1))
         b = estimate(EstimatorSpec(target="p3", samples=100_000, seed=2))
         assert a.estimate != b.estimate
+
+
+def in_new_thread(fn):
+    """fn's result, computed on a thread of its own."""
+    result = []
+    t = threading.Thread(target=lambda: result.append(fn()))
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive()
+    return result[0]
+
+
+class TestKeptBuffers:
+    def test_concurrent_threads_match_sequential(self):
+        # four threads on two cores, each on its own spec, switching often:
+        # a buffer shared between threads would change some count
+        specs = [
+            EstimatorSpec(target="p3", samples=300_001, seed=5, chunks=1),
+            EstimatorSpec(target="p3_star", samples=300_001, seed=5, chunks=2),
+            EstimatorSpec(target="pn_bracket", samples=200_001, seed=6, chunks=1, n=6),
+            EstimatorSpec(target="vol_Dn_star", samples=200_001, seed=7, chunks=2, n=4),
+        ]
+        want = [estimate(s) for s in specs]
+        got = [None] * len(specs)
+        start = threading.Barrier(len(specs))
+
+        def run(i):
+            start.wait()
+            got[i] = estimate(specs[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(specs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    def test_thread_keeps_at_most_block_words(self):
+        def kept_sizes():
+            estimate(EstimatorSpec(target="p3", samples=100_000, seed=1))
+            estimate(EstimatorSpec(target="pn_bracket", samples=4_000, seed=1, n=1024))
+            b = mc._kept.buffers
+            return [a.size for a in (b.block, b.offsets)]
+
+        sizes = in_new_thread(kept_sizes)
+        assert 0 < max(sizes) <= rng.BLOCK_WORDS
+
+    def test_second_estimate_reuses_buffers(self):
+        def reused():
+            estimate(EstimatorSpec(target="p3", samples=100_000, seed=1))
+            b = mc._kept.buffers
+            block, offsets = b.block, b.offsets
+            estimate(EstimatorSpec(target="p3_star", samples=50_000, seed=2))
+            same_dim = mc._kept.buffers is b and b.block is block and b.offsets is offsets
+            estimate(EstimatorSpec(target="vol_Dn_star", samples=100_000, seed=3, n=4))
+            return same_dim and mc._kept.buffers is b and b.block is block
+
+        assert in_new_thread(reused)
 
 
 class TestAgainstClosedForms:
@@ -147,6 +213,38 @@ class TestBrackets:
             b = pn_bounds(n)
             assert lo.estimate - 4 * lo.stderr <= b.upper
             assert up.estimate + 4 * up.stderr >= b.lower
+
+    @staticmethod
+    def sigmas_from_exact(n, samples=1_000_000, seed=41):
+        """Distance of each bracket end from its exact value, in standard
+        errors of the exact p.  The estimator tests against _pi_n_upper,
+        8 ulps above pi_n, which moves the upper end's volume by about
+        n * 8 ulps: far below one standard error."""
+        res = estimate(EstimatorSpec(target="pn_bracket", samples=samples, seed=seed, n=n))
+        b = pn_bounds(n)
+        return [
+            abs(res[end].estimate - p) / math.sqrt(p * (1 - p) / samples)
+            for end, p in (("lower", b.sharper_lower), ("upper", b.sharper_upper))
+        ]
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_ends_estimate_exact_values(self, n):
+        lower_off, upper_off = self.sigmas_from_exact(n)
+        assert lower_off <= 5 and upper_off <= 5
+
+    def test_shifted_pi_n_threshold_caught_by_exact_upper(self, monkeypatch):
+        # A necessity test 0.01 below pi_n calls too many tuples not cyclic:
+        # the loose bounds still hold, the exact upper end does not.
+        shifted = lambda n: ntuple.pi_n(n) - 0.01  # noqa: E731
+        monkeypatch.setattr(ntuple, "_pi_n_upper", shifted)
+        n = 4
+        res = estimate(EstimatorSpec(target="pn_bracket", samples=1_000_000, seed=41, n=n))
+        lo, up = res["lower"], res["upper"]
+        b = pn_bounds(n)
+        assert lo.estimate <= up.estimate
+        assert lo.estimate - 4 * lo.stderr <= b.upper
+        assert up.estimate + 4 * up.stderr >= b.lower
+        assert self.sigmas_from_exact(n)[1] > 5
 
     def test_lower_estimates_mixed_sum_volume(self):
         # the provably-cyclic fraction is exactly 1 - A_{n-1}/(n-1)!

@@ -396,12 +396,20 @@ class TestVolumesAndBounds:
         b = pn_bounds(4)
         assert b.lower == pytest.approx(1 - 3 * (2 / math.pi) ** 4, abs=0)
         assert b.sharper_lower == pytest.approx(2 / 3, abs=1e-15)
+        assert b.sharper_upper == pytest.approx(79 / 81, abs=1e-15)  # pi_4 = 2/3
         assert b.upper == pytest.approx(1 - 2 * 0.25**4, abs=0)
 
     def test_ordering(self):
         for n in range(4, 41):
             b = pn_bounds(n)
-            assert b.lower <= b.sharper_lower <= b.upper
+            assert b.lower <= b.sharper_lower <= b.sharper_upper <= b.upper
+
+    def test_sharper_upper_at_50_digits(self):
+        with mpmath.workdps(50):
+            for n in range(4, 41):
+                pi = 1 - 1 / (4 * mpmath.cos(mpmath.pi / (n + 2)) ** 2)
+                exact = 1 - 2 * (1 - pi) ** n
+                assert abs(pn_bounds(n).sharper_upper - exact) <= 1e-15
 
     def test_shrinks_to_one(self):
         b = pn_bounds(60)

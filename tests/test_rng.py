@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cyclictuples.rng import UniformStream, uniform_matrix, uniform_words
+from cyclictuples.rng import BlockBuffers, UniformStream, uniform_matrix, uniform_words
 
 MASK = (1 << 64) - 1
 
@@ -47,9 +47,29 @@ def test_matrix_indexed_by_global_sample():
 
 def test_stream_view_matches_matrix():
     s = UniformStream(11)
-    a = s.next_matrix(10, 3)
+    a = s.next_matrix(10, 3).copy()  # the next draw overwrites the view
     b = s.next_matrix(5, 3)
     assert np.array_equal(np.vstack([a, b]), uniform_matrix(11, 0, 15, 3))
+
+
+def test_stream_draws_into_reused_buffers():
+    # a partial last block, growth after a small draw, and a change of dim
+    s = UniformStream(13)
+    drawn = []
+    for dim in (1, 3, 4, 8):
+        for rows in (1000, 700, 1000, 3):
+            drawn.append(s.next_matrix(rows, dim).flatten())  # a copy of the view
+    assert np.array_equal(np.concatenate(drawn), uniform_words(13, 0, 2703 * 16))
+
+
+def test_words_into_buffers_match_fresh():
+    buffers = BlockBuffers()
+    for start, count, dim in ((0, 30, 3), (7, 12, None), (10**12, 4096, 8), (5, 0, 2)):
+        drawn = uniform_words(3, start, count, dim, out=buffers)
+        assert np.array_equal(drawn, uniform_words(3, start, count, dim))
+        assert np.shares_memory(drawn, buffers.block) == (count > 0)
+    a, b = uniform_words(3, 0, 30), uniform_words(3, 0, 30)
+    assert not np.shares_memory(a, b)
 
 
 def test_rejects_negative_args():
