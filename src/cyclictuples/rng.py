@@ -96,7 +96,7 @@ def uniform_words(
     first = key + np.arange(step, dtype=np.uint64) * _GOLDEN
     z = block.view(np.uint64)
     np.add(first[:, None], offsets, out=z)
-    scratch = np.empty_like(z)
+    scratch = np.empty_like(z)  # per draw, not kept: see the module docstring
     _mix64(z, scratch)
     np.right_shift(z, _S11, out=scratch)
     np.multiply(scratch, _TO_UNIT, out=block)
