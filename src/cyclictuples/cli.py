@@ -33,9 +33,7 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-# sample_ordered_cyclic holds every row it returns: 10^8 rows are 2.4 GB.
-HISTOGRAM_MAX_SAMPLES = 10**8
-# report's histograms draw 1e6 * scale rows, so scale 100 meets the cap above.
+# report's histograms draw 1e6 * scale rows, so scale 100 meets triple.MAX_SAMPLE_ROWS.
 REPORT_MAX_SCALE = 100
 DENSITY_MAX_GRID = 10**6
 
@@ -49,7 +47,7 @@ def _samples(text: str) -> int:
 
 def _histogram_samples(text: str) -> int:
     value = _samples(text)
-    if value > HISTOGRAM_MAX_SAMPLES:
+    if value > triple.MAX_SAMPLE_ROWS:
         raise argparse.ArgumentTypeError(f"samples must be at most 1e8, got {text!r}")
     return value
 

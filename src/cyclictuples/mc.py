@@ -14,19 +14,13 @@ For n >= 4 the cyclic region has no exact membership test, so
 (min above pi_n, or max below 1 - pi_n); Unknowns widen the bracket and
 are never resolved heuristically.
 
-Each chunk draws its points in blocks of ``rng.BLOCK_WORDS // dim`` points,
-so a block's columns and the predicate's temporaries stay in cache.  At
-large n that leaves so few points per block that the per-column numpy
-calls dominate, so a block holds at least ``_MIN_ROWS`` points; it never
-holds more than ``_MAX_BLOCK_WORDS`` (3 * 2^20) words, which caps the
-memory per worker.  Every predicate reads C-contiguous columns: the
-(dim x points) array that ``rng.uniform_words`` draws in place.  Each
-thread keeps its ``rng.BlockBuffers`` (the float block and the counter
-offsets) across ``estimate`` calls in a ``threading.local`` and draws
-every block into them.  A thread keeps buffers of at most ``BLOCK_WORDS``
-words, which covers every target at n <= 16; a chunk with larger blocks
-gets buffers of its own, and a pool thread's buffers go when the pool
-exits.  Block sizes change no result.
+Each chunk draws its points in the blocks that ``rng.block_buffers``
+sizes, into the buffers it hands out: the calling thread's kept set, the
+one the sampler also draws into, for blocks of up to ``rng.BLOCK_WORDS``
+words (every target at n <= 16), and a set for one chunk otherwise.  A
+pool thread's buffers go when the pool exits.  Every predicate reads
+C-contiguous columns: the (dim x points) array that ``rng.uniform_words``
+draws in place.  Block sizes change no result.
 
 No region is written here.  Each target calls its predicate from
 ``triple`` (``cyclic``, ``nontransitive``, ``c3_i``, ``c3_ii``,
@@ -39,7 +33,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -47,16 +40,12 @@ import numpy as np
 
 from . import ntuple, rng, triple
 from .core import DensityGrid, MCEstimate
-from .rng import BLOCK_WORDS
 from .triple import sample_ordered_cyclic
 
-_MIN_ROWS = 3072  # floor on points per block; equals the cap at n = MAX_N
-_MAX_BLOCK_WORDS = 3 << 20  # random words per block at most, caps memory per worker
 MAX_CHUNKS = 1024  # each chunk is one task and one (start, stop) pair
 MAX_BINS = 10**6
 MAX_SAMPLES = 10**11  # p3 at 10^11 samples takes about an hour on two cores
 _COLUMNS = {"f1": 0, "f2": 1, "f3": 2}  # histogram's density -> sample column
-_kept = threading.local()  # .buffers: the thread's rng.BlockBuffers, kept across calls
 
 SINGLE_TARGETS = ("p3", "p3_star", "vol_C3_I", "vol_C3_II", "vol_C3_ordered", "vol_Dn_star")
 BRACKET_TARGETS = ("pn_bracket",)
@@ -119,23 +108,12 @@ def _chunk_ranges(samples: int, chunks: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def _block_buffers(words: int) -> rng.BlockBuffers:
-    """The calling thread's kept buffers for blocks of at most
-    ``BLOCK_WORDS`` words, fresh ones for larger blocks."""
-    if words > BLOCK_WORDS:
-        return rng.BlockBuffers()
-    if not hasattr(_kept, "buffers"):
-        _kept.buffers = rng.BlockBuffers()
-    return _kept.buffers
-
-
 def _count_chunk(spec: EstimatorSpec, start: int, stop: int) -> tuple[int, ...]:
     single = spec.target != "pn_bracket"
     dim = spec.dim
     hits = 0
     misses = 0
-    rows = min(max(BLOCK_WORDS // dim, _MIN_ROWS), _MAX_BLOCK_WORDS // dim, stop - start)
-    buffers = _block_buffers(rows * dim)
+    rows, buffers = rng.block_buffers(dim)
     pos = start
     while pos < stop:
         count = min(rows, stop - pos)

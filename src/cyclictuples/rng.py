@@ -8,23 +8,26 @@ only on (seed, number of samples), never on how work was partitioned.
 Points come column-major: ``uniform_words(..., dim)`` puts word
 ``start + i*dim + j`` at ``[j, i]``, so each coordinate of a block of
 points is one contiguous row, and ``uniform_matrix`` returns the
-(points x dim) transpose of that array.  Consumers draw blocks of about
-``BLOCK_WORDS`` words, sized so a block and the temporaries computed from
-it stay in a core's cache.
+(points x dim) transpose of that array.
 
-A block is drawn in place: the counters, the mixing and the conversion to
-floats all write into the float64 block of a ``BlockBuffers``, which also
-keeps the per-point counter offsets.  ``mc`` keeps one per thread for
-blocks of up to ``BLOCK_WORDS`` words and the sampler one per call;
-without ``out`` each call gets fresh ones.  The mixing's one uint64
-scratch array is allocated per draw.  After the first draw malloc serves
-it from its free list, and freeing it keeps glibc's dynamic mmap and trim
+``block_buffers(dim)`` is the one place that sizes the blocks of ``mc``
+and the sampler and says where they are drawn.  A block is drawn in
+place: the counters, the mixing and the conversion to floats all write
+into the float64 block of a ``BlockBuffers``, which also keeps the
+per-point counter offsets.  Each thread keeps one set, shared by ``mc``
+and the sampler across calls, for blocks of up to ``BLOCK_WORDS`` words;
+larger blocks (more than 16 words a point) get a fresh set, and without ``out`` each
+``uniform_words`` call gets fresh ones.  The mixing's one uint64 scratch
+array is allocated per draw.  After the first draw malloc serves it from
+its free list, and freeing it keeps glibc's dynamic mmap and trim
 thresholds above the block-sized temporaries of the region predicates:
 with a kept scratch array those temporaries were mapped or trimmed away
 and faulted in again on every block (see CHANGES.md).
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -38,6 +41,9 @@ _S11 = np.uint64(11)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _TO_UNIT = 2.0**-53
 BLOCK_WORDS = 3 << 14  # words per block for mc and the sampler; see CHANGES.md for the sweep
+_MIN_ROWS = 3072  # floor on points per block; equals the cap at n = ntuple.MAX_N
+_MAX_BLOCK_WORDS = 3 << 20  # random words per block at most, caps memory per thread
+_kept = threading.local()  # .buffers: the thread's BlockBuffers, kept across calls
 
 
 class BlockBuffers:
@@ -62,6 +68,25 @@ class BlockBuffers:
             self.offsets *= np.uint64(step * int(_GOLDEN) & _MASK64)
             self._step = step
         return self.block[:count].reshape(step, points), self.offsets[:points]
+
+
+def block_buffers(dim: int) -> tuple[int, BlockBuffers]:
+    """Points per block for ``dim``-word points, and the buffers to draw
+    them into: the calling thread's kept set when a block holds at most
+    ``BLOCK_WORDS`` words, a fresh set otherwise.
+
+    A block holds ``BLOCK_WORDS // dim`` points, so its columns and the
+    temporaries computed from them stay in a core's cache.  At large dim
+    that leaves so few points that the per-column numpy calls dominate, so
+    a block holds at least ``_MIN_ROWS`` points; it never holds more than
+    ``_MAX_BLOCK_WORDS`` words.  Block sizes change no result.
+    """
+    rows = min(max(BLOCK_WORDS // dim, _MIN_ROWS), _MAX_BLOCK_WORDS // dim)
+    if rows * dim > BLOCK_WORDS:
+        return rows, BlockBuffers()
+    if not hasattr(_kept, "buffers"):
+        _kept.buffers = BlockBuffers()
+    return rows, _kept.buffers
 
 
 def _mix64(z: np.ndarray, t: np.ndarray) -> None:
@@ -112,22 +137,3 @@ def uniform_matrix(seed: int, start_sample: int, count: int, dim: int) -> np.nda
     makes chunked generation bit-identical to a single pass.
     """
     return uniform_words(seed, start_sample * dim, count * dim, dim).T
-
-
-class UniformStream:
-    """Sequential view over the counter stream, for consumers like
-    rejection samplers that draw a data-dependent number of batches.
-    Every draw goes into the stream's own ``BlockBuffers``."""
-
-    def __init__(self, seed: int, start_word: int = 0):
-        self.seed = int(seed)
-        self._pos = int(start_word)
-        self._buffers = BlockBuffers()
-
-    def next_matrix(self, count: int, dim: int) -> np.ndarray:
-        """The next ``count`` points, one row of ``dim`` words each, as a
-        view of the stream's buffers: valid until the next draw, which
-        overwrites it."""
-        out = uniform_words(self.seed, self._pos, count * dim, dim, out=self._buffers).T
-        self._pos += count * dim
-        return out

@@ -36,6 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import rng
 from .core import (
     InvalidTupleError,
     Number,
@@ -49,11 +50,12 @@ from .core import (
     lt,
 )
 from .numeric import adaptive_simpson, bisect_root, golden_max, integrate_piecewise
-from .rng import BLOCK_WORDS, UniformStream
 
 _SQRT5 = math.sqrt(5.0)
 OMEGA = (_SQRT5 - 1.0) / 2.0
 ONE_MINUS_OMEGA = (3.0 - _SQRT5) / 2.0
+# sample_ordered_cyclic holds every row it returns: 10^8 rows are 2.4 GB.
+MAX_SAMPLE_ROWS = 10**8
 
 # Closed-form volumes: vol_II = 3/16 - ln(2)/8 and
 # vol_I = ln(2)/8 - ln(2w) + 11w/12 - 7/16, with the cyclic and
@@ -224,6 +226,8 @@ def integrate_density(which: str, upper: float | None = None, tol: float = 1e-11
     if upper is None and which == "f2":
         return 2.0 * integrate_piecewise(f, [0.0, ONE_MINUS_OMEGA, 0.5], tol)
     hi = pieces[-1][1] if upper is None else float(upper)
+    if math.isnan(hi):
+        raise ValueError("upper limit is nan")
     total = 0.0
     for a, b in pieces:
         if hi <= a:
@@ -293,7 +297,7 @@ def _sort_rows(pts: np.ndarray) -> None:
     b[:] = mid
 
 
-def sample_ordered_cyclic(count: int, seed: int, batch: int = BLOCK_WORDS // 3) -> np.ndarray:
+def sample_ordered_cyclic(count: int, seed: int) -> np.ndarray:
     """Draw ``count`` points uniform on the ordered cyclic region.
 
     Each uniform cube point is sorted and then accepted if it lies in the
@@ -304,27 +308,25 @@ def sample_ordered_cyclic(count: int, seed: int, batch: int = BLOCK_WORDS // 3) 
     few random words.
 
     The output is the first ``count`` accepted rows of the seed's stream,
-    in stream order: deterministic for fixed (count, seed).  ``batch``
-    caps the rows drawn at once, and so the memory used; it does not
-    change the output.  Its default, ``rng.BLOCK_WORDS // 3`` rows, keeps
-    each draw's three contiguous columns and temporaries in cache.
-    Returns a C-ordered array of shape (count, 3) with rows satisfying
-    x <= y <= z.
+    in stream order: deterministic for fixed (count, seed).  The rows are
+    drawn in the blocks that ``rng.block_buffers`` sizes, at most 16,384
+    rows into the thread's kept buffers.  ``count`` is at most
+    ``MAX_SAMPLE_ROWS``.  Returns a C-ordered array of shape (count, 3)
+    with rows satisfying x <= y <= z.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if batch < 1:
-        raise ValueError("batch must be >= 1")
-    stream = UniformStream(seed)
+    if not 1 <= count <= MAX_SAMPLE_ROWS:
+        raise ValueError(f"count must be in [1, {MAX_SAMPLE_ROWS}], got {count}")
+    block_rows, buffers = rng.block_buffers(3)
     out = np.empty((count, 3))
-    have = 0
+    have = word = 0
     while have < count:
         need = count - have
         # The accepted count of n rows is Binomial(n, p3) with standard
         # deviation below sqrt(need) at n ~ need/p3, so asking for four
         # deviations more makes a second draw rare.
-        rows = min(batch, int((need + 4.0 * math.sqrt(need) + 8.0) / P3))
-        pts = stream.next_matrix(rows, 3)
+        rows = min(block_rows, int((need + 4.0 * math.sqrt(need) + 8.0) / P3))
+        pts = rng.uniform_words(seed, word, rows * 3, 3, out=buffers).T
+        word += rows * 3
         _sort_rows(pts)
         accepted = np.compress(ordered_cyclic(*pts.T), pts, axis=0)[:need]
         out[have : have + len(accepted)] = accepted

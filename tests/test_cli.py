@@ -207,6 +207,12 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "--samples" in err and "Traceback" not in err
 
+    def test_histogram_reads_sampler_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(triple, "MAX_SAMPLE_ROWS", 100)
+        with pytest.raises(SystemExit) as exc:
+            main(["histogram", "--which", "f1", "--samples", "101"])
+        assert exc.value.code == 2 and "--samples" in capsys.readouterr().err
+
     def test_empty_witness_exit_two(self, capsys, tmp_path):
         path = tmp_path / "w.json"
         path.write_text("{}")

@@ -11,7 +11,7 @@ from scipy import stats as scistats
 from cyclictuples import mc, ntuple, rng
 from cyclictuples.mc import EstimatorSpec, estimate, histogram
 from cyclictuples.ntuple import MAX_N, pn_bounds, vol_dn_star
-from cyclictuples.triple import OMEGA, P3, P3_STAR, VOL_C3_I, VOL_C3_II, density
+from cyclictuples.triple import OMEGA, P3, P3_STAR, VOL_C3_I, VOL_C3_II, density, sample_ordered_cyclic
 
 
 class TestSpecValidation:
@@ -156,7 +156,7 @@ class TestKeptBuffers:
         def kept_sizes():
             estimate(EstimatorSpec(target="p3", samples=100_000, seed=1))
             estimate(EstimatorSpec(target="pn_bracket", samples=4_000, seed=1, n=1024))
-            b = mc._kept.buffers
+            b = rng._kept.buffers
             return [a.size for a in (b.block, b.offsets)]
 
         sizes = in_new_thread(kept_sizes)
@@ -165,14 +165,39 @@ class TestKeptBuffers:
     def test_second_estimate_reuses_buffers(self):
         def reused():
             estimate(EstimatorSpec(target="p3", samples=100_000, seed=1))
-            b = mc._kept.buffers
+            b = rng._kept.buffers
             block, offsets = b.block, b.offsets
             estimate(EstimatorSpec(target="p3_star", samples=50_000, seed=2))
-            same_dim = mc._kept.buffers is b and b.block is block and b.offsets is offsets
+            same_dim = rng._kept.buffers is b and b.block is block and b.offsets is offsets
             estimate(EstimatorSpec(target="vol_Dn_star", samples=100_000, seed=3, n=4))
-            return same_dim and mc._kept.buffers is b and b.block is block
+            return same_dim and rng._kept.buffers is b and b.block is block
 
         assert in_new_thread(reused)
+
+    def test_sampler_and_estimate_share_buffers(self, monkeypatch):
+        calls = [
+            lambda: sample_ordered_cyclic(20_000, seed=3),
+            lambda: estimate(EstimatorSpec(target="p3", samples=50_000, seed=4)),
+            lambda: sample_ordered_cyclic(1_000, seed=5),
+        ]
+        want = [in_new_thread(call) for call in calls]
+        used = []
+        draw = rng.uniform_words
+
+        def recording(seed, start, count, dim=None, *, out=None):
+            used.append(out)
+            return draw(seed, start, count, dim, out=out)
+
+        monkeypatch.setattr(rng, "uniform_words", recording)
+
+        def in_turn():
+            return [call() for call in calls], rng._kept.buffers
+
+        got, kept = in_new_thread(in_turn)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        assert np.array_equal(got[2], want[2])
+        assert len(used) > 3 and all(b is kept for b in used)
+        assert 0 < max(kept.block.size, kept.offsets.size) <= rng.BLOCK_WORDS
 
 
 class TestAgainstClosedForms:

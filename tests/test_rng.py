@@ -1,7 +1,10 @@
+import threading
+
 import numpy as np
 import pytest
 
-from cyclictuples.rng import BlockBuffers, UniformStream, uniform_matrix, uniform_words
+from cyclictuples import rng
+from cyclictuples.rng import BlockBuffers, block_buffers, uniform_matrix, uniform_words
 
 MASK = (1 << 64) - 1
 
@@ -46,20 +49,46 @@ def test_matrix_indexed_by_global_sample():
 
 
 def test_stream_view_matches_matrix():
-    s = UniformStream(11)
-    a = s.next_matrix(10, 3).copy()  # the next draw overwrites the view
-    b = s.next_matrix(5, 3)
+    buffers = BlockBuffers()
+    a = uniform_words(11, 0, 30, 3, out=buffers).T.copy()  # the next draw overwrites the view
+    b = uniform_words(11, 30, 15, 3, out=buffers).T
     assert np.array_equal(np.vstack([a, b]), uniform_matrix(11, 0, 15, 3))
 
 
 def test_stream_draws_into_reused_buffers():
     # a partial last block, growth after a small draw, and a change of dim
-    s = UniformStream(13)
+    buffers = BlockBuffers()
     drawn = []
+    word = 0
     for dim in (1, 3, 4, 8):
         for rows in (1000, 700, 1000, 3):
-            drawn.append(s.next_matrix(rows, dim).flatten())  # a copy of the view
+            drawn.append(uniform_words(13, word, rows * dim, dim, out=buffers).T.flatten())
+            word += rows * dim
     assert np.array_equal(np.concatenate(drawn), uniform_words(13, 0, 2703 * 16))
+
+
+def in_new_thread(fn):
+    """fn's result, computed on a thread of its own."""
+    result = []
+    t = threading.Thread(target=lambda: result.append(fn()))
+    t.start()
+    t.join(timeout=60)
+    return result[0]
+
+
+@pytest.mark.parametrize(
+    "dim,rows,kept",
+    [(1, 3 << 14, True), (3, 1 << 14, True), (16, 3072, True), (17, 3072, False), (1024, 3072, False)],
+)
+def test_block_buffers(dim, rows, kept):
+    def two_calls():
+        return block_buffers(dim), block_buffers(dim)
+
+    (rows_a, a), (rows_b, b) = two_calls()
+    (_, other), _ = in_new_thread(two_calls)
+    assert rows_a == rows_b == rows
+    assert (a is b) == kept and (a is getattr(rng._kept, "buffers", None)) == kept
+    assert a is not other
 
 
 def test_words_into_buffers_match_fresh():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate, stats as scistats
 
-from cyclictuples import triple
+from cyclictuples import rng, triple
 from cyclictuples.core import (
     InvalidTupleError,
     ProbTuple,
@@ -17,7 +17,7 @@ from cyclictuples.core import (
     exact,
     in_region,
 )
-from cyclictuples.rng import UniformStream, uniform_matrix
+from cyclictuples.rng import uniform_matrix
 from cyclictuples.triple import (
     F1_BREAKPOINTS,
     OMEGA,
@@ -202,6 +202,11 @@ class TestDensities:
         assert density("f1", OMEGA) == pytest.approx(0.0, abs=1e-14)
         assert density("f1", math.nextafter(OMEGA, 1.0)) == 0.0
 
+    def test_integral_refuses_nan(self):
+        for which in ("f1", "f2", "f3"):
+            with pytest.raises(ValueError):
+                integrate_density(which, float("nan"))
+
     def test_nontransitive_mass_identity(self):
         mass = integrate_density("f1") - integrate_density("f1", 0.5)
         assert abs(mass - P3_STAR / P3) < 1e-8
@@ -237,6 +242,19 @@ class TestDensityStats:
             unrestricted_min_density(1.5)
 
 
+def record_words(monkeypatch):
+    """The word count of every ``rng.uniform_words`` call from now on."""
+    words = []
+    draw = rng.uniform_words
+
+    def recording(seed, start, count, dim=None, **kwargs):
+        words.append(count)
+        return draw(seed, start, count, dim, **kwargs)
+
+    monkeypatch.setattr(rng, "uniform_words", recording)
+    return words
+
+
 class TestSampler:
     def test_postcondition_and_shape(self):
         pts = sample_ordered_cyclic(2000, seed=5)
@@ -251,15 +269,22 @@ class TestSampler:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, sample_ordered_cyclic(500, seed=10))
 
-    def test_batching_does_not_change_output(self):
-        a = sample_ordered_cyclic(3000, seed=4, batch=1 << 20)
-        b = sample_ordered_cyclic(3000, seed=4, batch=1 << 12)
-        assert np.array_equal(a, b)
+    def test_output_independent_of_block_size(self, monkeypatch):
+        want = [sample_ordered_cyclic(3000, seed=4), sample_ordered_cyclic(2000, seed=21)]
+        words = record_words(monkeypatch)
+        monkeypatch.setattr(rng, "_MIN_ROWS", 1)
+        for rows in (1, 7, 4096):
+            monkeypatch.setattr(rng, "BLOCK_WORDS", 3 * rows)
+            words.clear()
+            got = [sample_ordered_cyclic(3000, seed=4), sample_ordered_cyclic(2000, seed=21)]
+            assert max(words) == 3 * rows
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
-    def test_output_independent_of_batch_cap(self):
-        ref = sample_ordered_cyclic(2000, seed=21)
-        for batch in (1, 7, 4096, 1 << 20):
-            assert np.array_equal(sample_ordered_cyclic(2000, seed=21, batch=batch), ref)
+    def test_count_capped(self, monkeypatch):
+        monkeypatch.setattr(triple, "MAX_SAMPLE_ROWS", 100)
+        assert sample_ordered_cyclic(100, seed=1).shape == (100, 3)
+        with pytest.raises(ValueError, match="count must be in"):
+            sample_ordered_cyclic(101, seed=1)
 
     @pytest.mark.parametrize(
         "count,seed,digest",
@@ -270,20 +295,13 @@ class TestSampler:
         ],
     )
     def test_rows_pinned(self, count, seed, digest):
-        # SHA-256 of the rows drawn with 2^20-row batches and row-major blocks
+        # SHA-256 of the rows; draws of any size give the same rows
         pts = sample_ordered_cyclic(count, seed)
         assert pts.flags.c_contiguous
         assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
 
     def test_small_request_draws_few_words(self, monkeypatch):
-        drawn = []
-
-        class CountingStream(UniformStream):
-            def next_matrix(self, count, dim):
-                drawn.append(count * dim)
-                return super().next_matrix(count, dim)
-
-        monkeypatch.setattr(triple, "UniformStream", CountingStream)
+        drawn = record_words(monkeypatch)
         for seed in range(20):
             drawn.clear()
             sample_ordered_cyclic(1000, seed=seed)
