@@ -269,16 +269,29 @@ class TestSampler:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, sample_ordered_cyclic(500, seed=10))
 
-    def test_output_independent_of_block_size(self, monkeypatch):
-        want = [sample_ordered_cyclic(3000, seed=4), sample_ordered_cyclic(2000, seed=21)]
-        words = record_words(monkeypatch)
+    @staticmethod
+    def draw_blocks_of(monkeypatch, rows):
+        """From now on the sampler draws blocks of ``rows`` rows."""
         monkeypatch.setattr(rng, "_MIN_ROWS", 1)
+        monkeypatch.setattr(rng, "BLOCK_WORDS", 3 * rows)
+
+    def test_batching_does_not_change_output(self, monkeypatch):
+        a = sample_ordered_cyclic(3000, seed=4)
+        words = record_words(monkeypatch)
+        self.draw_blocks_of(monkeypatch, 4096)
+        b = sample_ordered_cyclic(3000, seed=4)
+        assert max(words) == 3 * 4096
+        assert np.array_equal(a, b)
+
+    def test_output_independent_of_batch_cap(self, monkeypatch):
+        ref = sample_ordered_cyclic(2000, seed=21)
+        words = record_words(monkeypatch)
         for rows in (1, 7, 4096):
-            monkeypatch.setattr(rng, "BLOCK_WORDS", 3 * rows)
+            self.draw_blocks_of(monkeypatch, rows)
             words.clear()
-            got = [sample_ordered_cyclic(3000, seed=4), sample_ordered_cyclic(2000, seed=21)]
-            assert max(words) == 3 * rows
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert np.array_equal(sample_ordered_cyclic(2000, seed=21), ref)
+            # full blocks, or one block short of the cap when that suffices
+            assert max(words) == min(3 * rows, sum(words))
 
     def test_count_capped(self, monkeypatch):
         monkeypatch.setattr(triple, "MAX_SAMPLE_ROWS", 100)
