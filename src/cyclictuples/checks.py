@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import mc, ntuple, triple
-from .core import HypothesisNotMetError, ProbTuple, Status, complement, reverse, rotate
+from . import core, mc, ntuple, triple
+from .core import HypothesisNotMetError, ProbTuple
 
 
 def _estimate(target: str, samples: int, seed: int, chunks: int, n: int | None = None):
@@ -100,9 +100,26 @@ def alternating() -> dict:
     }
 
 
+# False-alarm rate of the exact test of each bracket end.
+_FALSE_ALARM = 1e-9
+
+
+def _near_exact(est, p: float) -> bool:
+    """Whether the Monte Carlo estimate ``est`` of a probability whose exact
+    value is p passes a two-sided Chernoff test at ``_FALSE_ALARM``: a
+    binomial share q of N samples lies beyond q on its side of p with
+    probability at most exp(-N KL(q || p)), at any N, where a normal
+    approximation fails for the few misses of a bracket's upper end."""
+    q = est.estimate
+    kl = sum(a * math.log(a / b) for a, b in ((q, p), (1 - q, 1 - p)) if a > 0)
+    return est.samples * kl <= math.log(2 / _FALSE_ALARM)
+
+
 def pn_bracket(n: int, samples: int, seed: int, chunks: int) -> dict:
     """Monte Carlo bracket on p_n beside the closed-form bounds; consistent
-    when it is ordered and meets the bounds within 4 standard errors."""
+    when it is ordered, meets the loose bounds within 4 standard errors, and
+    each end passes the exact test of ``_near_exact`` against the value it
+    estimates: the lower end ``sharper_lower``, the upper ``sharper_upper``."""
     res = _estimate("pn_bracket", samples, seed, chunks, n)
     bounds = ntuple.pn_bounds(n)
     lo, up = res["lower"], res["upper"]
@@ -110,6 +127,8 @@ def pn_bracket(n: int, samples: int, seed: int, chunks: int) -> dict:
         lo.estimate <= up.estimate
         and lo.estimate - 4 * lo.stderr <= bounds.upper
         and up.estimate + 4 * up.stderr >= bounds.lower
+        and _near_exact(lo, bounds.sharper_lower)
+        and _near_exact(up, bounds.sharper_upper)
     )
     return {"lower": lo.to_dict(), "upper": up.to_dict(), "bounds": bounds.to_dict(), "consistent": consistent}
 
@@ -139,30 +158,71 @@ def witnesses(count: int, seed: int) -> dict:
     }
 
 
+# Rows of one block of symmetry's columns: a block's arrays, not the sample
+# count, set what the section holds at once.
+_BLOCK_ROWS = 4096
+# The other orderings of a triple's coordinates, the reverse last.
+_TRIPLE_ORDERINGS = ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+
+
+def _decide(fn, values: np.ndarray, complemented: bool = False) -> np.ndarray:
+    """``fn`` decided exactly on each tuple of ``values`` (coordinates by
+    row, one tuple per column), or on its complement: the column 1 - x,
+    whose exact value is 1 - Fraction(x)."""
+    def exact_row(i):
+        xs = [Fraction(x) for x in values[:, i].tolist()]
+        return [1 - x for x in xs] if complemented else xs
+
+    return core.decide_columns(fn, tuple(1.0 - values if complemented else values), exact_row)
+
+
+def _blocks(total: int):
+    """Row counts of consecutive blocks of at most _BLOCK_ROWS covering total."""
+    for start in range(0, total, _BLOCK_ROWS):
+        yield min(_BLOCK_ROWS, total - start)
+
+
 def symmetry(samples: int, seed: int) -> dict:
     """Verdicts under the symmetry group.  Each of ``samples // 2`` random
     triples is compared with its other orderings and its complement (each
     disagreeing image is one violation), and each of as many n-tuples,
     n in 4..8, with a random rotation, its reverse and its complement (a
-    comparison with an Unknown side is exempt)."""
+    comparison with an Unknown side is exempt).
+
+    The tuples are decided in blocks of ``_BLOCK_ROWS`` on numpy columns
+    under ``core.decide_columns``, through ``triple.cyclic`` and
+    ``ntuple.status_code``: each verdict is the exact one that
+    ``triple.is_cyclic_triple`` and ``ntuple.decide_ntuple`` give, a
+    complement being decided on its exact value."""
     rnd = random.Random(seed)
     triple_bad = ntuple_bad = exempt = 0
-    for _ in range(samples // 2):
-        t = ProbTuple(tuple(rnd.random() for _ in range(3)))
-        base = triple.is_cyclic_triple(t).status
-        x, y, z = t.values
-        for u in ((x, z, y), (y, x, z), (y, z, x), (z, x, y), reverse(t), complement(t)):
-            triple_bad += triple.is_cyclic_triple(u).status is not base
-    for _ in range(samples // 2):
-        n = rnd.randint(4, 8)
-        t = ProbTuple(tuple(rnd.random() for _ in range(n)))
-        base = ntuple.decide_ntuple(t, with_witness=False).status
-        for u in (rotate(t, rnd.randrange(1, n)), reverse(t), complement(t)):
-            other = ntuple.decide_ntuple(u, with_witness=False).status
-            if Status.UNKNOWN in (base, other):
-                exempt += 1
-            else:
-                ntuple_bad += other is not base
+    for rows in _blocks(samples // 2):
+        values = np.array([rnd.random() for _ in range(3 * rows)]).reshape(rows, 3).T.copy()
+        base = _decide(triple.cyclic, values)
+        for order in _TRIPLE_ORDERINGS:
+            triple_bad += int((_decide(triple.cyclic, values[list(order)]) != base).sum())
+        triple_bad += int((_decide(triple.cyclic, values, complemented=True) != base).sum())
+    for rows in _blocks(samples // 2):
+        drawn = []  # (n, values, rotation) in the order they are drawn
+        for _ in range(rows):
+            n = rnd.randint(4, 8)
+            drawn.append((n, [rnd.random() for _ in range(n)], rnd.randrange(1, n)))
+        for n in range(4, 9):
+            group = [(xs, k) for m, xs, k in drawn if m == n]
+            if not group:
+                continue
+            values = np.array([xs for xs, _ in group]).T.copy()
+            shift = np.array([k for _, k in group])
+            rotated = np.take_along_axis(values, (np.arange(n)[:, None] + shift) % n, axis=0)
+            base = _decide(ntuple.status_code, values)
+            for other in (
+                _decide(ntuple.status_code, rotated),
+                _decide(ntuple.status_code, values[::-1]),
+                _decide(ntuple.status_code, values, complemented=True),
+            ):
+                unknown = (base == 0) | (other == 0)
+                exempt += int(unknown.sum())
+                ntuple_bad += int((~unknown & (other != base)).sum())
     return {
         "samples": samples,
         "triple_violations": triple_bad,

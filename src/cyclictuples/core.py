@@ -10,9 +10,12 @@ value of its coordinates, a float being the dyadic rational it stores.  The
 region predicates compare every computed expression through ``le``/``lt``:
 exact on Fraction and int operands, while on floats they raise ``_NearTie``
 inside ``_FLOAT_BAND`` and ``decide_exactly`` evaluates again on ``exact``
-values.  numpy columns pass straight through.  Volume and density paths work
-in ordinary binary floats.  All types here are immutable and safe to share
-across workers.
+values.  numpy columns are exact under ``decide_columns``: while it runs a
+predicate, ``le``/``lt`` record the rows whose comparison falls inside the
+band, and only those rows are decided again on their exact values.  Outside
+it, columns pass straight through, so ``mc`` and the sampler count float
+masks.  Volume and density paths work in ordinary binary floats.  All types
+here are immutable and safe to share across workers.
 
 Witness arithmetic runs on integers.  A ``DiscreteDist`` stores its points
 as numerators on one denominator and its weights as numerators on another,
@@ -30,6 +33,7 @@ and in all the numerators a witness file's distributions store.
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import math
 import reprlib
@@ -109,30 +113,49 @@ VIOLATION_REASONS = frozenset(
 # together by less than 2**-50, and rounding the gap a - b (at most 3u/2,
 # counting a Fraction side rounded to float) keeps the total below 2**-49.
 # A gap whose float value exceeds _FLOAT_BAND therefore has the same sign
-# in exact arithmetic.
+# in exact arithmetic.  This covers a column fl(1 - x) that stands for the
+# exact complement 1 - x under ``decide_columns``: it is a coordinate
+# rounded once, off by at most u/2, and 1 - fl(1 - x) is exact (Sterbenz).
+# A float never meets a numpy column in ``le``/``lt``: the pi_n tests pass
+# their constants as 0-d arrays there.
 _FLOAT_BAND = 2.0**-48
+
+# The near mask of the active ``decide_columns`` call, one flag per row;
+# None outside a call.  A context variable, so ``mc``'s worker threads,
+# which evaluate the same predicates, never see another call's mask.
+_near_rows: contextvars.ContextVar = contextvars.ContextVar("near_rows", default=None)
 
 
 class _NearTie(Exception):
     """A float comparison fell inside ``_FLOAT_BAND``; decide it exactly."""
 
 
-def _filter(a, b) -> None:
-    if (isinstance(a, float) or isinstance(b, float)) and abs(a - b) <= _FLOAT_BAND:
-        raise _NearTie
+def _gap(a, b):
+    """Raises ``_NearTie`` when a float side of a comparison is within
+    ``_FLOAT_BAND`` of the other.  Inside ``decide_columns``, the gap a - b
+    of columns, with the rows where it is that small flagged; else None."""
+    if isinstance(a, float) or isinstance(b, float):
+        if abs(a - b) <= _FLOAT_BAND:
+            raise _NearTie
+        return None
+    near = _near_rows.get()
+    if near is None:
+        return None
+    gap = a - b
+    near |= abs(gap) <= _FLOAT_BAND
+    return gap
 
 
 def le(a, b):
-    """a <= b for scalars or numpy columns; raises ``_NearTie`` when a float
-    side is within ``_FLOAT_BAND`` of the other."""
-    _filter(a, b)
-    return a <= b
+    """a <= b for scalars or numpy columns, filtered by ``_gap``."""
+    gap = _gap(a, b)
+    return a <= b if gap is None else gap <= 0
 
 
 def lt(a, b):
-    """a < b for scalars or numpy columns; raises ``_NearTie`` like ``le``."""
-    _filter(a, b)
-    return a < b
+    """a < b for scalars or numpy columns, filtered by ``_gap``."""
+    gap = _gap(a, b)
+    return a < b if gap is None else gap < 0
 
 
 def exact(v: Number) -> Fraction:
@@ -148,6 +171,22 @@ def decide_exactly(fn: Callable, values: Sequence[Number]):
         return fn(*values)
     except _NearTie:
         return fn(*map(exact, values))
+
+
+def decide_columns(fn: Callable, cols: Sequence[np.ndarray], exact_row: Callable[[int], Sequence[Number]]):
+    """``fn(*cols)`` on float columns, one tuple per row, with each row
+    decided on its exact values: while ``fn`` runs, ``le``/``lt`` flag the
+    rows with a comparison inside ``_FLOAT_BAND``, and ``fn`` decides each
+    flagged row i again on ``exact_row(i)``."""
+    near = np.zeros(len(cols[0]), dtype=bool)
+    token = _near_rows.set(near)
+    try:
+        result = fn(*cols)
+    finally:
+        _near_rows.reset(token)
+    for i in np.flatnonzero(near).tolist():
+        result[i] = fn(*exact_row(i))
+    return result
 
 
 def _check_probability(v) -> None:

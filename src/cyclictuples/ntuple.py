@@ -7,12 +7,14 @@ No complete characterization of cyclic n-tuples is known for n >= 4, so
 exactly verified witness, NotCyclic verdicts follow from the pi_n
 necessity threshold, and everything else is Unknown.
 
-The D-regions (``d_i``, ``d_ii``, ``d_star``) and the pi_n necessity tests
-(``min_above_pi_n``, ``max_below_one_minus_pi_n``) are predicates of the
-coordinates written with + - * and comparisons joined by &, every
-comparison of a sum going through ``core.lt``, so ``core.in_region`` and
-``decide_ntuple`` decide them on exact scalar values and ``mc`` evaluates
-them on numpy columns.
+The D-regions (``d_i``, ``d_ii``, ``d_star``), the pi_n necessity tests
+(``min_above_pi_n``, ``max_below_one_minus_pi_n``) and the n >= 4 status
+(``status_code``) are predicates of the coordinates written with + - * and
+comparisons joined by & and |, every comparison of a sum or with pi_n going
+through ``core.le``/``core.lt``.  So ``core.in_region`` and
+``decide_ntuple`` decide them on exact scalar values, ``core.decide_columns``
+decides them exactly on numpy columns (``checks.symmetry``), and ``mc``
+counts their float masks on numpy columns.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .core import (
     DiscreteDist,
@@ -58,11 +62,29 @@ def pi_n(n: int) -> float:
 def _pi_n_upper(n: int) -> float:
     # At or above the true pi_n for every n in [3, MAX_N] (checked at 50
     # digits by the tests), so the necessity filter can never misclassify a
-    # boundary tuple (e.g. the all-2/3 4-tuple) as NotCyclic.  A coordinate
-    # compared with it, or with 1 - it (exact: it lies in [1/2, 1]), needs
-    # no exact fallback.
+    # boundary tuple (e.g. the all-2/3 4-tuple) as NotCyclic.
     v = pi_n(n)
     return v + 8.0 * math.ulp(v)
+
+
+@functools.cache
+def _exact_ends(t: float) -> tuple[Fraction, Fraction]:
+    return Fraction(t), 1 - Fraction(t)
+
+
+def _pi_n_ends(xs):
+    # _pi_n_upper(n) and 1 minus it (exact: it lies in [1/2, 1]) in the kind
+    # lt compares with the coordinates: floats beside floats, Fractions
+    # beside Fractions (the exact pass of decide_exactly, where a float side
+    # would be filtered again), 0-d arrays beside numpy columns (a float
+    # never meets a column in lt).
+    t = _pi_n_upper(len(xs))
+    x = xs[0]
+    if isinstance(x, Fraction):
+        return _exact_ends(t)
+    if isinstance(x, np.ndarray):
+        return np.array(t), np.array(1.0 - t)
+    return t, 1.0 - t
 
 
 def _all(conditions):
@@ -72,6 +94,16 @@ def _all(conditions):
     for c in conditions:
         result = result & c
         if result is False:
+            break
+    return result
+
+
+def _any(conditions):
+    # | rather than any(), like _all; a scalar True stops early
+    result = False
+    for c in conditions:
+        result = result | c
+        if result is True:
             break
     return result
 
@@ -97,24 +129,43 @@ def d_star(*xs):
 
 def min_above_pi_n(*xs):
     """Every coordinate exceeds pi_n, so the tuple is not cyclic."""
-    threshold = _pi_n_upper(len(xs))
-    return _all(x > threshold for x in xs)
+    t, _ = _pi_n_ends(xs)
+    return _all(lt(t, x) for x in xs)
 
 
 def max_below_one_minus_pi_n(*xs):
     """Every coordinate is below 1 - pi_n, so the tuple is not cyclic."""
-    threshold = 1.0 - _pi_n_upper(len(xs))
-    return _all(x < threshold for x in xs)
+    _, t = _pi_n_ends(xs)
+    return _all(lt(x, t) for x in xs)
+
+
+def _updown_at(s, i):
+    # the up-down condition at index i of the adjacent sums s
+    return le(1, s[i]) & le(s[(i + 2) % len(s)], 1)
 
 
 def _updown_index(*xs) -> int | None:
     """Smallest 0-based i with s_i >= 1 and s_{i+2} <= 1."""
     s = _adjacent_sums(xs)
-    n = len(s)
-    for i in range(n):
-        if le(1, s[i]) and le(s[(i + 2) % n], 1):
+    for i in range(len(s)):
+        if _updown_at(s, i):
             return i
     return None
+
+
+def _updown_holds(*xs):
+    """Some index i has s_i >= 1 and s_{i+2} <= 1, so the tuple is cyclic."""
+    s = _adjacent_sums(xs)
+    return _any(_updown_at(s, i) for i in range(len(s)))
+
+
+def status_code(*xs):
+    """The n >= 4 status that ``decide_ntuple`` reaches through the same
+    three tests, on scalars or numpy columns: -1 NotCyclic (a pi_n test),
+    1 Cyclic (the up-down condition at some index), 0 Unknown.  On exact
+    values at most one of the two holds, so their order does not matter."""
+    not_cyclic = min_above_pi_n(*xs) | max_below_one_minus_pi_n(*xs)
+    return 1 * _updown_holds(*xs) - 1 * not_cyclic  # 1 * makes a bool or a mask an int
 
 
 def build_witness(t: ProbTuple | Sequence[Number], index: int | None = None) -> WitnessSystem:
@@ -215,9 +266,9 @@ def decide_ntuple(t: ProbTuple | Sequence[Number], with_witness: bool = True) ->
     if t.n == 3:
         return is_cyclic_triple(t)
 
-    if min_above_pi_n(*t.values):
+    if decide_exactly(min_above_pi_n, t.values):
         return _MIN_EXCEEDS_PI_N
-    if max_below_one_minus_pi_n(*t.values):
+    if decide_exactly(max_below_one_minus_pi_n, t.values):
         return _MAX_BELOW_ONE_MINUS_PI_N
 
     index = decide_exactly(_updown_index, t.values)

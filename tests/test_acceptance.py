@@ -109,6 +109,7 @@ def test_criterion_08_bracket_consistency():
         assert lo["estimate"] <= up["estimate"]
         assert lo["estimate"] - 4 * lo["stderr"] <= b["upper"]
         assert up["estimate"] + 4 * up["stderr"] >= b["lower"]
+        assert res["consistent"], "an end fails its exact test"
         details.append(f"n={n}:[{lo['estimate']:.4f},{up['estimate']:.4f}]")
     _ok(8, "10^6 samples: " + " ".join(details))
 

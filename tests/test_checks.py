@@ -1,0 +1,63 @@
+"""The report's checking sections against plain references: the symmetry
+section on numpy columns against the scalar loop it replaced, and the exact
+test of each bracket end against a wrong pi_n threshold."""
+
+import functools
+import random
+
+import pytest
+
+from cyclictuples import checks, ntuple, triple
+from cyclictuples.core import ProbTuple, Status, complement, reverse, rotate
+
+
+@functools.cache
+def scalar_symmetry(samples, seed):
+    """``checks.symmetry`` as one scalar decision per tuple and per image."""
+    rnd = random.Random(seed)
+    triple_bad = ntuple_bad = exempt = 0
+    for _ in range(samples // 2):
+        t = ProbTuple(tuple(rnd.random() for _ in range(3)))
+        base = triple.is_cyclic_triple(t).status
+        x, y, z = t.values
+        for u in ((x, z, y), (y, x, z), (y, z, x), (z, x, y), reverse(t), complement(t)):
+            triple_bad += triple.is_cyclic_triple(u).status is not base
+    for _ in range(samples // 2):
+        n = rnd.randint(4, 8)
+        t = ProbTuple(tuple(rnd.random() for _ in range(n)))
+        base = ntuple.decide_ntuple(t, with_witness=False).status
+        for u in (rotate(t, rnd.randrange(1, n)), reverse(t), complement(t)):
+            other = ntuple.decide_ntuple(u, with_witness=False).status
+            if Status.UNKNOWN in (base, other):
+                exempt += 1
+            else:
+                ntuple_bad += other is not base
+    return {
+        "samples": samples,
+        "triple_violations": triple_bad,
+        "ntuple_violations": ntuple_bad,
+        "unknown_exempted": exempt,
+        "pass": triple_bad == 0 and ntuple_bad == 0,
+    }
+
+
+@pytest.mark.parametrize("block_rows", [checks._BLOCK_ROWS, 7])
+@pytest.mark.parametrize("samples", [200, 201, 2000])
+@pytest.mark.parametrize("seed", [7, 20240810, 1, 99, 31337])
+def test_symmetry_equals_scalar_loop(seed, samples, block_rows, monkeypatch):
+    monkeypatch.setattr(checks, "_BLOCK_ROWS", block_rows)
+    assert checks.symmetry(samples, seed) == scalar_symmetry(samples, seed)
+
+
+def test_shifted_pi_n_threshold_makes_bracket_inconsistent(monkeypatch):
+    # A necessity test 0.01 below pi_n calls too many tuples not cyclic: the
+    # loose bounds still hold, the upper end's exact test does not.
+    n, samples, seed = 4, 1_000_000, 41
+    assert checks.pn_bracket(n, samples, seed, chunks=1)["consistent"]
+    monkeypatch.setattr(ntuple, "_pi_n_upper", lambda n: ntuple.pi_n(n) - 0.01)
+    res = checks.pn_bracket(n, samples, seed, chunks=1)
+    lo, up, b = res["lower"], res["upper"], res["bounds"]
+    assert lo["estimate"] <= up["estimate"]
+    assert lo["estimate"] - 4 * lo["stderr"] <= b["upper"]
+    assert up["estimate"] + 4 * up["stderr"] >= b["lower"]
+    assert res["consistent"] is False

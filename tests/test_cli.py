@@ -1,13 +1,11 @@
 import io
 import json
 import time
-from types import SimpleNamespace
 
 import pytest
 
 from cyclictuples import core, mc, ntuple, triple
 from cyclictuples.cli import main
-from cyclictuples.core import Status
 
 
 def run(capsys, *argv):
@@ -327,11 +325,21 @@ class TestReportFailures:
         assert code == 1 and data["witnesses"]["pass"] is False
 
     def test_verdict_changed_by_complement(self, capsys, monkeypatch):
-        def by_sum(t):  # invariant under every ordering, flipped by the complement
-            return SimpleNamespace(status=Status.CYCLIC if sum(t) < 1.5 else Status.NOT_CYCLIC)
-        monkeypatch.setattr(triple, "is_cyclic_triple", by_sum)
+        def by_sum(x, y, z):  # invariant under every ordering, flipped by the complement
+            return x + y + z > 1.5
+        monkeypatch.setattr(triple, "cyclic", by_sum)
         code, data = self.report(capsys)
         assert code == 1 and data["symmetry"]["pass"] is False and data["symmetry"]["triple_violations"] == 100
+
+    def test_ntuple_verdict_changed_by_complement(self, capsys, monkeypatch):
+        def by_sum(*xs):  # never Unknown, invariant under rotation and reverse
+            below = sum(xs) < len(xs) / 2
+            return 1 * below - 1 * ~below
+        monkeypatch.setattr(ntuple, "status_code", by_sum)
+        code, data = self.report(capsys)
+        sym = data["symmetry"]
+        assert code == 1 and sym["pass"] is False and sym["triple_violations"] == 0
+        assert sym["ntuple_violations"] == 100 and sym["unknown_exempted"] == 0
 
 
 @pytest.mark.parametrize(

@@ -3,14 +3,16 @@ values of the same coordinates, floats included, even on the boundaries
 where float arithmetic alone rounds the wrong way."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclictuples import ntuple, triple
-from cyclictuples.core import Status, as_tuple, complement, decide_exactly, exact, in_region, le
+from cyclictuples import core, ntuple, triple
+from cyclictuples.core import Status, as_tuple, complement, decide_columns, decide_exactly, exact, in_region, le
 from cyclictuples.ntuple import decide_ntuple
 from cyclictuples.triple import is_cyclic_triple
 
@@ -153,3 +155,92 @@ def test_complement_of_tiny_coordinate_is_exact():
     assert decide_ntuple(c).status is Status.NOT_CYCLIC
     # an exact float complement stays a float
     assert complement(as_tuple((0.25, 0.5, 0.75))).values == (0.75, 0.5, 0.25)
+
+
+# Column verdicts under decide_columns, row by row against the scalar ones,
+# on columns built so that float masks alone get some rows wrong.
+CODES = {Status.CYCLIC: 1, Status.NOT_CYCLIC: -1, Status.UNKNOWN: 0}
+
+
+def _decide_columns(pred, values, complemented):
+    """decide_columns on the columns of ``values`` (one tuple per row), or on
+    the complement columns 1 - x with their exact values 1 - Fraction(x)."""
+    def exact_row(i):
+        xs = [Fraction(x) for x in values[i].tolist()]
+        return [1 - x for x in xs] if complemented else xs
+
+    cols = 1.0 - values.T if complemented else values.T
+    return decide_columns(pred, tuple(np.ascontiguousarray(cols)), exact_row), pred(*cols)
+
+
+def _scalar_tuples(values, complemented):
+    tuples = [as_tuple(row) for row in values.tolist()]
+    return [complement(t) for t in tuples] if complemented else tuples
+
+
+def _boundary_rows(count, seed):
+    """x = fl(1 - y*z) in the first half of the rows, fl((1-y)(1-z)) in the
+    second, x put in each of the three places in turn."""
+    gen = np.random.default_rng(seed)
+    y, z = gen.random((2, count))
+    x = np.where(np.arange(count) < count // 2, 1.0 - y * z, (1.0 - y) * (1.0 - z))
+    rows = np.stack([x, y, z], axis=1)
+    for place in (1, 2):
+        rows[place::3, [0, place]] = rows[place::3, [place, 0]]
+    return rows
+
+
+def _near_tie_ntuples(n, count, seed):
+    """n-tuples, a third each: with sums s_i, s_(i+1) and s_(i+2) one float
+    step below 1, at 1 or one step above in float arithmetic; with
+    coordinates up to three float steps from _pi_n_upper(n); or from
+    1 - _pi_n_upper(n)."""
+    gen = np.random.default_rng(seed)
+    rows = gen.random((count, n))
+    third = np.arange(count // 3)
+    i = gen.integers(0, n, size=len(third))
+    for j in (i, (i + 1) % n, (i + 2) % n):
+        b = 1.0 - rows[third, j]
+        rows[third, (j + 1) % n] = np.clip(np.nextafter(b, b + gen.integers(-1, 2, size=len(b))), 0.0, 1.0)
+    t = ntuple._pi_n_upper(n)
+    for center, part in ((t, slice(len(third), 2 * len(third))), (1.0 - t, slice(2 * len(third), count))):
+        steps = gen.integers(-3, 4, size=rows[part].shape)
+        rows[part] = center + steps * np.spacing(center)
+    return rows
+
+
+@pytest.mark.parametrize("complemented", [False, True], ids=["columns", "complement"])
+def test_columns_decide_boundary_triples_exactly(complemented):
+    values = _boundary_rows(3000, 5)
+    exact_mask, float_mask = _decide_columns(triple.cyclic, values, complemented)
+    scalar = [is_cyclic_triple(t).status is Status.CYCLIC for t in _scalar_tuples(values, complemented)]
+    assert exact_mask.tolist() == scalar
+    assert float_mask.tolist() != scalar  # the float masks alone get some rows wrong
+
+
+@pytest.mark.parametrize("complemented", [False, True], ids=["columns", "complement"])
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_columns_decide_near_tie_ntuples_exactly(n, complemented):
+    values = _near_tie_ntuples(n, 900, n)
+    exact_codes, float_codes = _decide_columns(ntuple.status_code, values, complemented)
+    scalar = [CODES[decide_ntuple(t, with_witness=False).status] for t in _scalar_tuples(values, complemented)]
+    assert exact_codes.tolist() == scalar
+    assert float_codes.tolist() != scalar
+
+
+def test_near_mask_belongs_to_its_call():
+    # mc evaluates the same predicates on worker threads, so the near mask
+    # is per call: concurrent calls on threads, switching often, each get
+    # their own rows' verdicts, and a thread outside any call sees no mask.
+    values = [_boundary_rows(count, count) for count in (300, 301, 302, 303)]
+    alone = [_decide_columns(triple.cyclic, v, False)[0].tolist() for v in values]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(_decide_columns, triple.cyclic, v, False) for v in values * 3]
+            outside = pool.submit(lambda: core._near_rows.get()).result(timeout=60)
+            got = [f.result(timeout=60)[0].tolist() for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == alone * 3 and outside is None
