@@ -34,6 +34,13 @@ def exact_volumes() -> dict:
     }
 
 
+def _sigmas_off(est, truth: float) -> float:
+    """|estimate - truth| in standard errors: the estimate's, or when it is 0
+    (an estimate of 0 or 1) those of the exact p in (0, 1), sqrt(p(1-p)/N)."""
+    stderr = est.stderr or math.sqrt(truth * (1 - truth) / est.samples)
+    return abs(est.estimate - truth) / stderr
+
+
 def mc_volumes(samples: int, seed: int, chunks: int) -> dict:
     """Monte Carlo p3 and p3*, each with its distance from the closed form
     in standard errors."""
@@ -41,8 +48,7 @@ def mc_volumes(samples: int, seed: int, chunks: int) -> dict:
     section = {}
     for target in ("p3", "p3_star"):
         est, truth = _estimate(target, samples, seed, chunks), vols[target]
-        off = abs(est.estimate - truth) / est.stderr
-        section[target] = {**est.to_dict(), "closed_form": truth, "sigmas_off": off}
+        section[target] = {**est.to_dict(), "closed_form": truth, "sigmas_off": _sigmas_off(est, truth)}
     return section
 
 
@@ -85,7 +91,7 @@ def dn_star_volume(n: int, samples: int, seed: int, chunks: int) -> dict:
     """Exact volume A_{n-1}/(2n (n-1)!) of D*_n beside its Monte Carlo estimate."""
     exact = ntuple.vol_dn_star(n)
     est = _estimate("vol_Dn_star", samples, seed, chunks, n)
-    off = abs(est.estimate - float(exact)) / est.stderr
+    off = _sigmas_off(est, float(exact))
     return {"exact": str(exact), "exact_float": float(exact), **est.to_dict(), "sigmas_off": off}
 
 

@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("estimate", help="Monte Carlo estimate of a region volume")
-    p.add_argument("--target", required=True, choices=list(mc.SINGLE_TARGETS + mc.BRACKET_TARGETS))
+    p.add_argument("--target", required=True, choices=list(mc.TARGETS))
     p.add_argument("--samples", type=_samples, default=1_000_000, help="samples, 1 to 1e11 (about an hour)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--chunks", type=int, default=1, help="chunks, 1 to 1024; fixes the result")

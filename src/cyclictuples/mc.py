@@ -9,10 +9,10 @@ at most ``os.cpu_count()`` threads, so the chunk count fixes the result
 and the machine only fixes how many chunks run at once.
 
 For n >= 4 the cyclic region has no exact membership test, so
-``pn_bracket`` reports a two-sided bracket: the fraction *provably* cyclic
-(mixed adjacent sums) and one minus the fraction *provably* not cyclic
-(min above pi_n, or max below 1 - pi_n); Unknowns widen the bracket and
-are never resolved heuristically.
+``pn_bracket`` reports a two-sided bracket from ``ntuple.certificates``:
+the fraction *provably* cyclic (the up-down condition at some index) and
+one minus the fraction *provably* not cyclic (min above pi_n, or max below
+1 - pi_n); Unknowns widen the bracket and are never resolved heuristically.
 
 Each chunk draws its points in the blocks that ``rng.block_buffers``
 sizes, into the buffers it hands out: the calling thread's kept set, the
@@ -22,11 +22,11 @@ pool thread's buffers go when the pool exits.  Every predicate reads
 C-contiguous columns: the (dim x points) array that ``rng.uniform_words``
 draws in place.  Block sizes change no result.
 
-No region is written here.  Each target calls its predicate from
-``triple`` (``cyclic``, ``nontransitive``, ``c3_i``, ``c3_ii``,
-``ordered_cyclic``) or ``ntuple`` (``d_star``; for the bracket ``d_i``,
-``d_ii`` and the pi_n tests) on the columns of a block of points, the same
-functions that decide single tuples.
+No region is written here.  ``TARGETS`` maps each target to the masks it
+counts on the columns of a block of points: one predicate from ``triple``
+(``cyclic``, ``nontransitive``, ``c3_i``, ``c3_ii``, ``ordered_cyclic``) or
+``ntuple`` (``d_star``), or, for the bracket, the pair that
+``ntuple.certificates`` gives; the same functions decide single tuples.
 """
 
 from __future__ import annotations
@@ -47,9 +47,23 @@ MAX_BINS = 10**6
 MAX_SAMPLES = 10**11  # p3 at 10^11 samples takes about an hour on two cores
 _COLUMNS = {"f1": 0, "f2": 1, "f3": 2}  # histogram's density -> sample column
 
-SINGLE_TARGETS = ("p3", "p3_star", "vol_C3_I", "vol_C3_II", "vol_C3_ordered", "vol_Dn_star")
-BRACKET_TARGETS = ("pn_bracket",)
-_SMALLEST_N = {"vol_Dn_star": 3, "pn_bracket": 4}  # n-tuple targets
+
+def _alone(mask):
+    return lambda *cols: (mask(*cols),)
+
+
+# name -> (smallest n, or None for a triple quantity; the tuple of masks
+# counted on a block's columns).  One mask is a volume; the bracket's two
+# are the provably cyclic and the provably not cyclic samples.
+TARGETS = {
+    "p3": (None, _alone(triple.cyclic)),
+    "p3_star": (None, _alone(triple.nontransitive)),
+    "vol_C3_I": (None, _alone(triple.c3_i)),
+    "vol_C3_II": (None, _alone(triple.c3_ii)),
+    "vol_C3_ordered": (None, _alone(triple.ordered_cyclic)),
+    "vol_Dn_star": (3, _alone(ntuple.d_star)),
+    "pn_bracket": (4, ntuple.certificates),
+}
 
 
 @dataclass(frozen=True)
@@ -63,14 +77,14 @@ class EstimatorSpec:
     n: int | None = None
 
     def __post_init__(self) -> None:
-        if self.target not in SINGLE_TARGETS + BRACKET_TARGETS:
+        if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
         if not 1 <= self.samples <= MAX_SAMPLES:
             raise ValueError(f"samples must be in [1, {MAX_SAMPLES}], got {self.samples}")
         if not 1 <= self.chunks <= MAX_CHUNKS:
             raise ValueError(f"chunks must be in [1, {MAX_CHUNKS}], got {self.chunks}")
-        if self.target in _SMALLEST_N:
-            low = _SMALLEST_N[self.target]
+        low = TARGETS[self.target][0]
+        if low is not None:
             if self.n is None or not low <= self.n <= ntuple.MAX_N:
                 raise ValueError(f"{self.target} requires n in [{low}, {ntuple.MAX_N}], got {self.n}")
         elif self.n is not None and self.n != 3:
@@ -81,51 +95,17 @@ class EstimatorSpec:
         return 3 if self.n is None else self.n
 
 
-_PREDICATES = {
-    "p3": triple.cyclic,
-    "p3_star": triple.nontransitive,
-    "vol_C3_I": triple.c3_i,
-    "vol_C3_II": triple.c3_ii,
-    "vol_C3_ordered": triple.ordered_cyclic,
-    "vol_Dn_star": ntuple.d_star,
-}
-
-
-def _bracket_counts(cols) -> tuple[int, int]:
-    cyclic = ~(ntuple.d_i(*cols) | ntuple.d_ii(*cols))
-    not_cyclic = ntuple.min_above_pi_n(*cols) | ntuple.max_below_one_minus_pi_n(*cols)
-    return int(cyclic.sum()), int(not_cyclic.sum())
-
-
-def _chunk_ranges(samples: int, chunks: int) -> list[tuple[int, int]]:
-    base, extra = divmod(samples, chunks)
-    ranges = []
-    start = 0
-    for c in range(chunks):
-        size = base + (1 if c < extra else 0)
-        ranges.append((start, start + size))
-        start += size
-    return ranges
-
-
 def _count_chunk(spec: EstimatorSpec, start: int, stop: int) -> tuple[int, ...]:
-    single = spec.target != "pn_bracket"
+    """How many of the samples start..stop-1 (at least one) each of the
+    target's masks holds for."""
+    masks = TARGETS[spec.target][1]
     dim = spec.dim
-    hits = 0
-    misses = 0
     rows, buffers = rng.block_buffers(dim)
-    pos = start
-    while pos < stop:
-        count = min(rows, stop - pos)
-        cols = rng.uniform_words(spec.seed, pos * dim, count * dim, dim, out=buffers)
-        if single:
-            hits += int(_PREDICATES[spec.target](*cols).sum())
-        else:
-            c, nc = _bracket_counts(cols)
-            hits += c
-            misses += nc
-        pos += count
-    return (hits,) if single else (hits, misses)
+    hits = 0
+    for pos in range(start, stop, rows):
+        cols = rng.uniform_words(spec.seed, pos * dim, min(rows, stop - pos) * dim, dim, out=buffers)
+        hits = hits + np.array([np.count_nonzero(m) for m in masks(*cols)])
+    return tuple(hits.tolist())
 
 
 def _bernoulli(p_hat: float, spec: EstimatorSpec) -> MCEstimate:
@@ -142,19 +122,20 @@ def estimate(spec: EstimatorSpec) -> MCEstimate | dict[str, MCEstimate]:
     {"lower": ..., "upper": ...} with lower <= upper always: Unknown
     samples are counted in neither the cyclic nor the non-cyclic tally.
     """
-    ranges = _chunk_ranges(spec.samples, spec.chunks)
-    if spec.chunks > 1:
-        with ThreadPoolExecutor(max_workers=min(spec.chunks, os.cpu_count() or 1)) as pool:
+    # counts depend only on global sample indices; no chunk is left empty
+    chunks = min(spec.chunks, spec.samples)
+    ranges = [(c * spec.samples // chunks, (c + 1) * spec.samples // chunks) for c in range(chunks)]
+    if chunks > 1:
+        with ThreadPoolExecutor(max_workers=min(chunks, os.cpu_count() or 1)) as pool:
             results = list(pool.map(lambda r: _count_chunk(spec, *r), ranges))
     else:
-        results = [_count_chunk(spec, *r) for r in ranges]
+        results = [_count_chunk(spec, *ranges[0])]
 
-    totals = tuple(sum(col) for col in zip(*results))
-    if spec.target != "pn_bracket":
-        return _bernoulli(totals[0] / spec.samples, spec)
-    lower = _bernoulli(totals[0] / spec.samples, spec)
-    upper = _bernoulli(1.0 - totals[1] / spec.samples, spec)
-    return {"lower": lower, "upper": upper}
+    shares = [sum(col) / spec.samples for col in zip(*results)]
+    if len(shares) == 1:
+        return _bernoulli(shares[0], spec)
+    cyclic, not_cyclic = shares
+    return {"lower": _bernoulli(cyclic, spec), "upper": _bernoulli(1.0 - not_cyclic, spec)}
 
 
 def histogram(which: str, samples: int, bins: int, seed: int) -> DensityGrid:

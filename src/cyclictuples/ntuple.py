@@ -8,13 +8,14 @@ exactly verified witness, NotCyclic verdicts follow from the pi_n
 necessity threshold, and everything else is Unknown.
 
 The D-regions (``d_i``, ``d_ii``, ``d_star``), the pi_n necessity tests
-(``min_above_pi_n``, ``max_below_one_minus_pi_n``) and the n >= 4 status
-(``status_code``) are predicates of the coordinates written with + - * and
-comparisons joined by & and |, every comparison of a sum or with pi_n going
-through ``core.le``/``core.lt``.  So ``core.in_region`` and
-``decide_ntuple`` decide them on exact scalar values, ``core.decide_columns``
-decides them exactly on numpy columns (``checks.symmetry``), and ``mc``
-counts their float masks on numpy columns.
+(``min_above_pi_n``, ``max_below_one_minus_pi_n``), the n >= 4
+``certificates`` and ``status_code`` are predicates of the coordinates
+written with + - * and comparisons joined by & and |, every comparison of a
+sum or with pi_n going through ``core.le``/``core.lt``.  So
+``core.in_region`` and ``decide_ntuple`` decide them on exact scalar
+values, ``core.decide_columns`` decides them exactly on numpy columns
+(``checks.symmetry``), and ``mc`` counts their float masks on numpy columns
+(``pn_bracket`` counts ``certificates``).
 """
 
 from __future__ import annotations
@@ -153,19 +154,27 @@ def _updown_index(*xs) -> int | None:
     return None
 
 
-def _updown_holds(*xs):
-    """Some index i has s_i >= 1 and s_{i+2} <= 1, so the tuple is cyclic."""
+def certificates(*xs):
+    """The two n >= 4 certificates, on scalars or numpy columns:
+    (cyclic, not_cyclic).  cyclic is the up-down condition s_i >= 1 >= s_{i+2}
+    at some index, the hypothesis of ``build_witness``; not_cyclic is either
+    pi_n test.  On exact values at most one of the two holds."""
+    # cyclic is "neither D_I nor D_II" (mixed sums), also on computed float
+    # sums, so pn_bracket's lower end still estimates sharper_lower.  Along
+    # i -> i+2 a sum >= 1 with no up-down forces the next sum > 1: so each
+    # orbit is all < 1 or all > 1.  For even n both orbits' exact sums total
+    # sum(xs), and fl(s) > 1 implies s > 1, so the orbits cannot split.
     s = _adjacent_sums(xs)
-    return _any(_updown_at(s, i) for i in range(len(s)))
+    cyclic = _any(_updown_at(s, i) for i in range(len(s)))
+    return cyclic, min_above_pi_n(*xs) | max_below_one_minus_pi_n(*xs)
 
 
 def status_code(*xs):
     """The n >= 4 status that ``decide_ntuple`` reaches through the same
-    three tests, on scalars or numpy columns: -1 NotCyclic (a pi_n test),
-    1 Cyclic (the up-down condition at some index), 0 Unknown.  On exact
-    values at most one of the two holds, so their order does not matter."""
-    not_cyclic = min_above_pi_n(*xs) | max_below_one_minus_pi_n(*xs)
-    return 1 * _updown_holds(*xs) - 1 * not_cyclic  # 1 * makes a bool or a mask an int
+    three tests, on scalars or numpy columns: -1 NotCyclic, 1 Cyclic,
+    0 Unknown, from ``certificates``."""
+    cyclic, not_cyclic = certificates(*xs)
+    return 1 * cyclic - 1 * not_cyclic  # 1 * makes a bool or a mask an int
 
 
 def build_witness(t: ProbTuple | Sequence[Number], index: int | None = None) -> WitnessSystem:

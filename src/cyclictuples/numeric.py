@@ -11,6 +11,7 @@ import math
 from typing import Callable, Sequence
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_MAX_DEPTH = 48  # halvings after which adaptive_simpson accepts a piece as it is
 
 
 def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
@@ -32,15 +33,14 @@ def _adaptive(f, a, m, b, fa, fm, fb, whole, tol, depth):
     )
 
 
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10,
-                     max_depth: int = 48) -> float:
+def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> float:
     """Integrate f on [a, b] with adaptive Simpson refinement."""
     if a == b:
         return 0.0
     m = 0.5 * (a + b)
     fa, fm, fb = f(a), f(m), f(b)
     whole = _simpson(fa, fm, fb, b - a)
-    return _adaptive(f, a, m, b, fa, fm, fb, whole, tol, max_depth)
+    return _adaptive(f, a, m, b, fa, fm, fb, whole, tol, _MAX_DEPTH)
 
 
 def integrate_piecewise(f: Callable[[float], float], points: Sequence[float],

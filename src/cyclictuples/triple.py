@@ -189,6 +189,7 @@ def _f3(x: float) -> float:
 
 
 _DENSITIES = {"f1": _f1, "f2": _f2, "f3": _f3}
+_TOL = 1e-11  # absolute tolerance of every density quadrature
 
 
 def density(which: str, x: float) -> float:
@@ -216,7 +217,7 @@ def _pieces(which: str) -> list[tuple[float, float]]:
     return list(zip(pts[:-1], pts[1:]))
 
 
-def integrate_density(which: str, upper: float | None = None, tol: float = 1e-11) -> float:
+def integrate_density(which: str, upper: float | None = None) -> float:
     """Integral of the density from the lower support end to ``upper``
     (default: the full mass).  f2 integrates on [0, 1/2] and doubles."""
     if which not in _DENSITIES:
@@ -224,7 +225,7 @@ def integrate_density(which: str, upper: float | None = None, tol: float = 1e-11
     f = _DENSITIES[which]
     pieces = _pieces(which)
     if upper is None and which == "f2":
-        return 2.0 * integrate_piecewise(f, [0.0, ONE_MINUS_OMEGA, 0.5], tol)
+        return 2.0 * integrate_piecewise(f, [0.0, ONE_MINUS_OMEGA, 0.5], _TOL)
     hi = pieces[-1][1] if upper is None else float(upper)
     if math.isnan(hi):
         raise ValueError("upper limit is nan")
@@ -232,11 +233,11 @@ def integrate_density(which: str, upper: float | None = None, tol: float = 1e-11
     for a, b in pieces:
         if hi <= a:
             break
-        total += adaptive_simpson(f, a, min(b, hi), tol)
+        total += adaptive_simpson(f, a, min(b, hi), _TOL)
     return total
 
 
-def density_stats(which: str, tol: float = 1e-11) -> dict[str, float]:
+def density_stats(which: str) -> dict[str, float]:
     """Mean, median, and mode of the selected density.
 
     Mean by adaptive quadrature of x*f(x) split at the breakpoints, median
@@ -249,18 +250,18 @@ def density_stats(which: str, tol: float = 1e-11) -> dict[str, float]:
     pieces = _pieces(which)
     lo, hi = pieces[0][0], pieces[-1][1]
 
-    mean = sum(adaptive_simpson(lambda u: u * f(u), a, b, tol) for a, b in pieces)
+    mean = sum(adaptive_simpson(lambda u: u * f(u), a, b, _TOL) for a, b in pieces)
 
     # cumulative mass at piece ends makes each CDF evaluation one local
     # integral instead of a full pass
     cum = [0.0]
     for a, b in pieces:
-        cum.append(cum[-1] + adaptive_simpson(f, a, b, tol))
+        cum.append(cum[-1] + adaptive_simpson(f, a, b, _TOL))
 
     def cdf(m: float) -> float:
         for i, (a, b) in enumerate(pieces):
             if m < b:
-                return cum[i] + (adaptive_simpson(f, a, m, tol) if m > a else 0.0)
+                return cum[i] + (adaptive_simpson(f, a, m, _TOL) if m > a else 0.0)
         return cum[-1]
 
     median = bisect_root(lambda m: cdf(m) - 0.5, lo, hi, xtol=1e-10)

@@ -1,5 +1,8 @@
+import dataclasses
+import hashlib
 import io
 import json
+import math
 import time
 
 import pytest
@@ -296,6 +299,37 @@ class TestUsageErrors:
         code = main(["check", "--tuple", "0.6,0.5,0.3,0.4", "--verify-witness", "-"])
         err = capsys.readouterr().err
         assert code == 2 and "witness JSON is nested too deeply" in err
+
+
+def test_report_stdout_pinned(capsys):
+    # every number of the small report, to the last digit of its JSON
+    code, out = run(capsys, "report", "--samples-scale", "0.002", "--seed", "7")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert code == 0 and digest == "e0c7297c72543ea8471cc0e895806f1cf3ceedcec426c86dfd89a6c59d4c62de"
+
+
+def test_report_survives_zero_stderr(capsys, monkeypatch):
+    # an estimate of exactly 0 or 1 has stderr 0: its distance is measured
+    # in the exact value's binomial standard error instead
+    estimate = mc.estimate
+
+    def at_an_end(spec):
+        est = estimate(spec)
+        ends = {"p3_star": 0.0, "vol_Dn_star": 1.0}
+        if spec.target in ends:
+            return dataclasses.replace(est, estimate=ends[spec.target], stderr=0.0)
+        return est
+
+    monkeypatch.setattr(mc, "estimate", at_an_end)
+    code, data = run_json(capsys, "report", "--samples-scale", "0.002", "--seed", "7")
+    samples = 20_000
+    p3_star = data["mc_volumes"]["p3_star"]
+    assert p3_star["estimate"] == 0.0 and p3_star["stderr"] == 0.0
+    p = triple.P3_STAR
+    assert p3_star["sigmas_off"] == p / math.sqrt(p * (1 - p) / samples)
+    for section in data["vol_Dn_star"].values():
+        p = section["exact_float"]
+        assert section["sigmas_off"] == (1 - p) / math.sqrt(p * (1 - p) / samples)
 
 
 def test_report_draws_one_sample(capsys, monkeypatch):

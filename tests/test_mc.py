@@ -57,6 +57,20 @@ class TestDeterminism:
         assert a["lower"].estimate == b["lower"].estimate
         assert a["upper"].estimate == b["upper"].estimate
 
+    @pytest.mark.parametrize("target", list(mc.TARGETS))
+    def test_more_chunks_than_samples(self, target):
+        def values(result):
+            ends = result.values() if isinstance(result, dict) else [result]
+            return [(e.estimate, e.stderr) for e in ends]
+
+        n = None if mc.TARGETS[target][0] is None else 5
+        for samples in (1, 5):
+            for seed in (1, 2):
+                base = estimate(EstimatorSpec(target=target, samples=samples, seed=seed, n=n))
+                for chunks in (3, 7):
+                    spec = EstimatorSpec(target=target, samples=samples, seed=seed, chunks=chunks, n=n)
+                    assert values(estimate(spec)) == values(base), (samples, seed, chunks)
+
     def test_workers_capped_at_cpu_count(self, monkeypatch):
         asked = []
 
@@ -96,7 +110,7 @@ class TestDeterminism:
 
         monkeypatch.setattr(rng, "uniform_words", recording)
         samples = 3 * rng.BLOCK_WORDS // 2 + 1  # more than one block at every dim
-        for target, n in [(t, None) for t in mc.SINGLE_TARGETS if t != "vol_Dn_star"] + [
+        for target, n in [(t, None) for t, (low, _) in mc.TARGETS.items() if low is None] + [
             ("vol_Dn_star", 3), ("vol_Dn_star", 7), ("pn_bracket", 4), ("pn_bracket", 40)
         ]:
             for chunks in (1, 3):

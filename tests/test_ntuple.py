@@ -4,7 +4,7 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import mpmath
 import numpy as np
@@ -28,6 +28,7 @@ from cyclictuples.ntuple import (
     alternating_count,
     andre_series,
     build_witness,
+    certificates,
     decide_ntuple,
     d_i,
     d_ii,
@@ -312,16 +313,41 @@ class TestDnRegions:
         # ties for the minimum are included
         assert in_region([0.2, 0.2, 0.3, 0.3], d_star)
 
+    @staticmethod
+    def boundary_rows(n, seed):
+        """Rows whose adjacent sums are often exactly 1 or one float step
+        from it: x_{i+1} is 1 - x_i, or the float next to it, at random i."""
+        pts = uniform_matrix(seed, 0, 20_000, n).copy()
+        rnd = np.random.default_rng(seed)
+        for i in range(n - 1):
+            chosen = rnd.random(len(pts)) < 0.6
+            step = rnd.integers(-1, 2, len(pts))  # one float down, none or up
+            near = 1.0 - pts[:, i]
+            near = np.where(step < 0, np.nextafter(near, 0), np.where(step > 0, np.nextafter(near, 1), near))
+            pts[:, i + 1] = np.where(chosen, near, pts[:, i + 1])
+        return pts
+
+    @staticmethod
+    def tie_rows(n, seed):
+        """Rows over 0, 1/4, 1/2, 3/4, 1: every one for n <= 6, else 20,000."""
+        levels = [0.0, 0.25, 0.5, 0.75, 1.0]
+        if n <= 6:
+            return np.array(list(product(levels, repeat=n)))
+        return np.random.default_rng(seed).choice(levels, size=(20_000, n))
+
     def test_mixed_sums_always_admit_updown_index(self):
-        # tuples outside D_I and D_II always have s_i >= 1 >= s_{i+2}
-        for n in range(4, 13):
-            pts = uniform_matrix(1000 + n, 0, 100_000, n)
-            sums = pts + np.roll(pts, -1, axis=1)
-            mixed = (sums >= 1).any(axis=1) & (sums <= 1).any(axis=1)
-            fired = np.zeros(len(pts), dtype=bool)
-            for i in range(n):
-                fired |= (sums[:, i] >= 1) & (sums[:, (i + 2) % n] <= 1)
-            assert np.array_equal(mixed, fired)
+        # tuples outside D_I and D_II always have s_i >= 1 >= s_{i+2}, also
+        # on the computed float sums: so the bracket's cyclic mask counts
+        # exactly the mixed-sums region, ties and sums at 1 included
+        for n in range(4, 17):
+            boundary = self.boundary_rows(n, 2000 + n)
+            sums = boundary[:, :-1] + boundary[:, 1:]
+            for near_one in (np.nextafter(1.0, 0), 1.0, np.nextafter(1.0, 2)):
+                assert (sums == near_one).sum() > 100, (n, near_one)
+            for pts in (uniform_matrix(1000 + n, 0, 100_000, n), boundary, self.tie_rows(n, 3000 + n)):
+                cols = tuple(pts.T.copy())
+                cyclic, _ = certificates(*cols)
+                assert np.array_equal(cyclic, ~(d_i(*cols) | d_ii(*cols))), n
 
 
 class TestAlternatingCounts:
