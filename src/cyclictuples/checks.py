@@ -171,15 +171,10 @@ _BLOCK_ROWS = 4096
 _TRIPLE_ORDERINGS = ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 
 
-def _decide(fn, values: np.ndarray, complemented: bool = False) -> np.ndarray:
-    """``fn`` decided exactly on each tuple of ``values`` (coordinates by
-    row, one tuple per column), or on its complement: the column 1 - x,
-    whose exact value is 1 - Fraction(x)."""
-    def exact_row(i):
-        xs = [Fraction(x) for x in values[:, i].tolist()]
-        return [1 - x for x in xs] if complemented else xs
-
-    return core.decide_columns(fn, tuple(1.0 - values if complemented else values), exact_row)
+def _complemented(fn):
+    """``fn`` on the complements 1 - x of its arguments: exact on Fractions,
+    fl(1 - x) on float columns."""
+    return lambda *xs: fn(*[1 - x for x in xs])
 
 
 def _blocks(total: int):
@@ -198,16 +193,17 @@ def symmetry(samples: int, seed: int) -> dict:
     The tuples are decided in blocks of ``_BLOCK_ROWS`` on numpy columns
     under ``core.decide_columns``, through ``triple.cyclic`` and
     ``ntuple.status_code``: each verdict is the exact one that
-    ``triple.is_cyclic_triple`` and ``ntuple.decide_ntuple`` give, a
-    complement being decided on its exact value."""
+    ``triple.is_cyclic_triple`` and ``ntuple.decide_ntuple`` give.  A
+    complement is the predicate ``_complemented`` on the drawn columns, so
+    a near tie is decided again on 1 - Fraction(x)."""
     rnd = random.Random(seed)
     triple_bad = ntuple_bad = exempt = 0
     for rows in _blocks(samples // 2):
         values = np.array([rnd.random() for _ in range(3 * rows)]).reshape(rows, 3).T.copy()
-        base = _decide(triple.cyclic, values)
+        base = core.decide_columns(triple.cyclic, values)
         for order in _TRIPLE_ORDERINGS:
-            triple_bad += int((_decide(triple.cyclic, values[list(order)]) != base).sum())
-        triple_bad += int((_decide(triple.cyclic, values, complemented=True) != base).sum())
+            triple_bad += int((core.decide_columns(triple.cyclic, values[list(order)]) != base).sum())
+        triple_bad += int((core.decide_columns(_complemented(triple.cyclic), values) != base).sum())
     for rows in _blocks(samples // 2):
         drawn = []  # (n, values, rotation) in the order they are drawn
         for _ in range(rows):
@@ -220,11 +216,11 @@ def symmetry(samples: int, seed: int) -> dict:
             values = np.array([xs for xs, _ in group]).T.copy()
             shift = np.array([k for _, k in group])
             rotated = np.take_along_axis(values, (np.arange(n)[:, None] + shift) % n, axis=0)
-            base = _decide(ntuple.status_code, values)
+            base = core.decide_columns(ntuple.status_code, values)
             for other in (
-                _decide(ntuple.status_code, rotated),
-                _decide(ntuple.status_code, values[::-1]),
-                _decide(ntuple.status_code, values, complemented=True),
+                core.decide_columns(ntuple.status_code, rotated),
+                core.decide_columns(ntuple.status_code, values[::-1]),
+                core.decide_columns(_complemented(ntuple.status_code), values),
             ):
                 unknown = (base == 0) | (other == 0)
                 exempt += int(unknown.sum())

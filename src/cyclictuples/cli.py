@@ -48,7 +48,7 @@ def _samples(text: str) -> int:
 def _histogram_samples(text: str) -> int:
     value = _samples(text)
     if value > triple.MAX_SAMPLE_ROWS:
-        raise argparse.ArgumentTypeError(f"samples must be at most 1e8, got {text!r}")
+        raise argparse.ArgumentTypeError(f"samples must be at most {triple.MAX_SAMPLE_ROWS:,}, got {text!r}")
     return value
 
 
@@ -190,13 +190,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="decide a tuple (exit 0 Cyclic, 1 NotCyclic, 3 Unknown)")
-    p.add_argument("--tuple", required=True, help='e.g. "5/9,5/9,5/9" or "0.6,0.5,0.3,0.4" (decimals read exactly; at most 4300 digits in a numerator or denominator)')
+    p.add_argument("--tuple", required=True, help='e.g. "5/9,5/9,5/9" or "0.6,0.5,0.3,0.4" (decimals read '
+                   f"exactly; at most {core.MAX_TOKEN_DIGITS:,} digits in a numerator or denominator)")
     p.add_argument("--no-witness", action="store_true", help="skip witness construction")
     p.add_argument(
         "--verify-witness",
         metavar="FILE",
         help="verify a witness JSON file (or - for stdin) against --tuple; "
-        f"at most {core.MAX_WITNESS_BYTES:,} bytes and 1e6 atoms",
+        f"at most {core.MAX_WITNESS_BYTES:,} bytes and {core.MAX_WITNESS_ATOMS:,} atoms",
     )
     p.set_defaults(func=cmd_check)
 
@@ -210,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="density grid as CSV on stdout")
     p.add_argument("--which", choices=["f1", "f2", "f3", "all"], default="all")
-    p.add_argument("--grid", type=_grid, default=1000, help="grid points, 1 to 1e6")
+    p.add_argument("--grid", type=_grid, default=1000, help=f"grid points, 1 to {DENSITY_MAX_GRID:,}")
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("stats", help="mean/median/mode of a density")
@@ -218,15 +219,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("bounds", help="closed-form bounds on p_n")
-    p.add_argument("--n", type=int, required=True, help="tuple length, 4 to 1024")
+    p.add_argument("--n", type=int, required=True, help=f"tuple length, 4 to {ntuple.MAX_N:,}")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("estimate", help="Monte Carlo estimate of a region volume")
     p.add_argument("--target", required=True, choices=list(mc.TARGETS))
-    p.add_argument("--samples", type=_samples, default=1_000_000, help="samples, 1 to 1e11 (about an hour)")
+    p.add_argument("--samples", type=_samples, default=1_000_000, help=f"samples, 1 to {mc.MAX_SAMPLES:,} (about an hour)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--chunks", type=int, default=1, help="chunks, 1 to 1024; fixes the result")
-    p.add_argument("--n", type=int, default=None, help="tuple length, at most 1024")
+    p.add_argument("--chunks", type=int, default=1, help=f"chunks, 1 to {mc.MAX_CHUNKS:,}; fixes the result")
+    p.add_argument("--n", type=int, default=None, help=f"tuple length, at most {ntuple.MAX_N:,}")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("histogram", help="empirical density of an order statistic as CSV")
@@ -235,16 +236,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=_histogram_samples,
         default=1_000_000,
-        help="rows to sample, at most 1e8 (2.4 GB of samples)",
+        help=f"rows to sample, at most {triple.MAX_SAMPLE_ROWS:,} ({triple.MAX_SAMPLE_ROWS * 24 / 1e9:.1f} GB of samples)",
     )
-    p.add_argument("--bins", type=int, default=50, help="bins, 10 to 1e6")
+    p.add_argument("--bins", type=int, default=50, help=f"bins, 10 to {mc.MAX_BINS:,}")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_histogram)
 
     p = sub.add_parser("report", help="composite JSON over every verified quantity")
-    p.add_argument("--samples-scale", type=_samples_scale, default=1.0, help="scale on sample counts, in (0, 100]")
+    p.add_argument("--samples-scale", type=_samples_scale, default=1.0, help=f"scale on sample counts, in (0, {REPORT_MAX_SCALE}]")
     p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--chunks", type=int, default=4, help="chunks, 1 to 1024")
+    p.add_argument("--chunks", type=int, default=4, help=f"chunks, 1 to {mc.MAX_CHUNKS:,}")
     p.set_defaults(func=cmd_report)
 
     return parser

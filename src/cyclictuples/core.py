@@ -113,9 +113,9 @@ VIOLATION_REASONS = frozenset(
 # together by less than 2**-50, and rounding the gap a - b (at most 3u/2,
 # counting a Fraction side rounded to float) keeps the total below 2**-49.
 # A gap whose float value exceeds _FLOAT_BAND therefore has the same sign
-# in exact arithmetic.  This covers a column fl(1 - x) that stands for the
-# exact complement 1 - x under ``decide_columns``: it is a coordinate
-# rounded once, off by at most u/2, and 1 - fl(1 - x) is exact (Sterbenz).
+# in exact arithmetic.  This covers a predicate that complements its columns
+# under ``decide_columns``: fl(1 - x) stands for 1 - x, a coordinate rounded
+# once, off by at most u/2, and 1 - fl(1 - x) is exact (Sterbenz).
 # A float never meets a numpy column in ``le``/``lt``: the pi_n tests pass
 # their constants as 0-d arrays there.
 _FLOAT_BAND = 2.0**-48
@@ -173,11 +173,12 @@ def decide_exactly(fn: Callable, values: Sequence[Number]):
         return fn(*map(exact, values))
 
 
-def decide_columns(fn: Callable, cols: Sequence[np.ndarray], exact_row: Callable[[int], Sequence[Number]]):
-    """``fn(*cols)`` on float columns, one tuple per row, with each row
-    decided on its exact values: while ``fn`` runs, ``le``/``lt`` flag the
-    rows with a comparison inside ``_FLOAT_BAND``, and ``fn`` decides each
-    flagged row i again on ``exact_row(i)``."""
+def decide_columns(fn: Callable, cols: Sequence[np.ndarray]):
+    """``fn(*cols)`` on float columns (1-D arrays, or the rows of an (n, rows)
+    array), one tuple per row, with each row decided on the values it stores:
+    while ``fn`` runs, ``le``/``lt`` flag the rows with a comparison inside
+    ``_FLOAT_BAND``, and ``fn`` decides each flagged row i again on
+    ``Fraction(c[i])`` of every column c."""
     near = np.zeros(len(cols[0]), dtype=bool)
     token = _near_rows.set(near)
     try:
@@ -185,7 +186,7 @@ def decide_columns(fn: Callable, cols: Sequence[np.ndarray], exact_row: Callable
     finally:
         _near_rows.reset(token)
     for i in np.flatnonzero(near).tolist():
-        result[i] = fn(*exact_row(i))
+        result[i] = fn(*[Fraction(c[i]) for c in cols])
     return result
 
 

@@ -49,6 +49,40 @@ def test_symmetry_equals_scalar_loop(seed, samples, block_rows, monkeypatch):
     assert checks.symmetry(samples, seed) == scalar_symmetry(samples, seed)
 
 
+class BoundaryRandom(random.Random):
+    """A ``random.Random`` whose random() yields triples on the two Trybula
+    boundaries, three values at a time: x = fl(1 - y*z) or fl((1-y)*(1-z)),
+    with y, z and the rotation of (x, y, z) drawn from the parent class."""
+
+    def __init__(self, seed):
+        self._pending = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        # Defined here so that randint and randrange keep drawing bits from
+        # the parent class, not values from random() below.
+        return super().getrandbits(k)
+
+    def random(self):
+        if not self._pending:
+            y, z = super().random(), super().random()
+            x = 1.0 - y * z if super().getrandbits(1) else (1.0 - y) * (1.0 - z)
+            k = super().randrange(3)
+            self._pending = [x, y, z][k:] + [x, y, z][:k]
+        return self._pending.pop(0)
+
+
+def test_symmetry_decides_boundary_triples_exactly(monkeypatch):
+    # Float masks alone get some boundary triples and their complements
+    # wrong (tests/test_exactness.py); every drawn value here comes from such
+    # a triple, n-tuple coordinates included.  The scalar reference is
+    # called unwrapped, since its cache holds results of the unpatched class.
+    monkeypatch.setattr(random, "Random", BoundaryRandom)
+    got = checks.symmetry(2000, 7)
+    assert got == scalar_symmetry.__wrapped__(2000, 7)
+    assert got["pass"]
+
+
 def test_shifted_pi_n_threshold_makes_bracket_inconsistent(monkeypatch):
     # A necessity test 0.01 below pi_n calls too many tuples not cyclic: the
     # loose bounds still hold, the upper end's exact test does not.

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclictuples import core, ntuple, triple
+from cyclictuples import checks, core, ntuple, triple
 from cyclictuples.core import Status, as_tuple, complement, decide_columns, decide_exactly, exact, in_region, le
 from cyclictuples.ntuple import decide_ntuple
 from cyclictuples.triple import is_cyclic_triple
@@ -163,14 +163,11 @@ CODES = {Status.CYCLIC: 1, Status.NOT_CYCLIC: -1, Status.UNKNOWN: 0}
 
 
 def _decide_columns(pred, values, complemented):
-    """decide_columns on the columns of ``values`` (one tuple per row), or on
-    the complement columns 1 - x with their exact values 1 - Fraction(x)."""
-    def exact_row(i):
-        xs = [Fraction(x) for x in values[i].tolist()]
-        return [1 - x for x in xs] if complemented else xs
-
-    cols = 1.0 - values.T if complemented else values.T
-    return decide_columns(pred, tuple(np.ascontiguousarray(cols)), exact_row), pred(*cols)
+    """decide_columns on the columns of ``values`` (one tuple per row), or of
+    its complement through ``checks._complemented``, beside the float masks."""
+    fn = checks._complemented(pred) if complemented else pred
+    cols = np.ascontiguousarray(values.T)
+    return decide_columns(fn, cols), fn(*cols)
 
 
 def _scalar_tuples(values, complemented):
