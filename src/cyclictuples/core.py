@@ -9,13 +9,14 @@ Number handling: a verdict on a scalar tuple is a statement about the exact
 value of its coordinates, a float being the dyadic rational it stores.  The
 region predicates compare every computed expression through ``le``/``lt``:
 exact on Fraction and int operands, while on floats they raise ``_NearTie``
-inside ``_FLOAT_BAND`` and ``decide_exactly`` evaluates again on ``exact``
-values.  numpy columns are exact under ``decide_columns``: while it runs a
-predicate, ``le``/``lt`` record the rows whose comparison falls inside the
-band, and only those rows are decided again on their exact values.  Outside
-it, columns pass straight through, so ``mc`` and the sampler count float
-masks.  Volume and density paths work in ordinary binary floats.  All types
-here are immutable and safe to share across workers.
+inside ``_FLOAT_BAND`` and ``decide_exactly`` evaluates again on Fractions.
+A constant meets the coordinates in the kind ``constant`` gives it.  numpy
+columns are exact under ``decide_columns``: while it runs a predicate,
+``le``/``lt`` record the rows whose comparison falls inside the band, and
+only those rows are decided again on their exact values.  Outside it,
+columns pass straight through, so ``mc`` and the sampler count float masks.
+Volume and density paths work in ordinary binary floats.  All types here
+are immutable and safe to share across workers.
 
 Witness arithmetic runs on integers.  A ``DiscreteDist`` stores its points
 as numerators on one denominator and its weights as numerators on another,
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import contextvars
 import enum
+import functools
 import math
 import reprlib
 from collections import Counter
@@ -116,8 +118,6 @@ VIOLATION_REASONS = frozenset(
 # in exact arithmetic.  This covers a predicate that complements its columns
 # under ``decide_columns``: fl(1 - x) stands for 1 - x, a coordinate rounded
 # once, off by at most u/2, and 1 - fl(1 - x) is exact (Sterbenz).
-# A float never meets a numpy column in ``le``/``lt``: the pi_n tests pass
-# their constants as 0-d arrays there.
 _FLOAT_BAND = 2.0**-48
 
 # The near mask of the active ``decide_columns`` call, one flag per row;
@@ -131,46 +131,51 @@ class _NearTie(Exception):
 
 
 def _gap(a, b):
-    """Raises ``_NearTie`` when a float side of a comparison is within
-    ``_FLOAT_BAND`` of the other.  Inside ``decide_columns``, the gap a - b
-    of columns, with the rows where it is that small flagged; else None."""
+    """Flags a comparison whose float sides are within ``_FLOAT_BAND``:
+    raises ``_NearTie`` on scalars, and inside ``decide_columns`` marks
+    the rows of columns where the gap a - b is that small."""
     if isinstance(a, float) or isinstance(b, float):
         if abs(a - b) <= _FLOAT_BAND:
             raise _NearTie
-        return None
-    near = _near_rows.get()
-    if near is None:
-        return None
-    gap = a - b
-    near |= abs(gap) <= _FLOAT_BAND
-    return gap
+    elif (near := _near_rows.get()) is not None:
+        near |= abs(a - b) <= _FLOAT_BAND
 
 
 def le(a, b):
-    """a <= b for scalars or numpy columns, filtered by ``_gap``."""
-    gap = _gap(a, b)
-    return a <= b if gap is None else gap <= 0
+    """a <= b for scalars or numpy columns, near ties flagged by ``_gap``."""
+    _gap(a, b)
+    return a <= b
 
 
 def lt(a, b):
-    """a < b for scalars or numpy columns, filtered by ``_gap``."""
-    gap = _gap(a, b)
-    return a < b if gap is None else gap < 0
+    """a < b for scalars or numpy columns, near ties flagged by ``_gap``."""
+    _gap(a, b)
+    return a < b
 
 
-def exact(v: Number) -> Fraction:
-    """The exact rational value of v; a float converts losslessly, since
-    every float is a dyadic rational."""
-    return v if isinstance(v, Fraction) else Fraction(v)
+_fraction = functools.cache(Fraction)
+
+
+def constant(value: float, like):
+    """The float ``value`` in the kind that ``le``/``lt`` compare with the
+    coordinate ``like``: a float beside floats, a cached Fraction beside
+    Fractions (the exact pass of ``decide_exactly``, where a float side
+    would be flagged again), a 0-d array beside numpy columns (a float
+    never meets a column in ``le``/``lt``)."""
+    if isinstance(like, Fraction):
+        return _fraction(value)
+    if isinstance(like, np.ndarray):
+        return np.array(value)
+    return value
 
 
 def decide_exactly(fn: Callable, values: Sequence[Number]):
     """``fn(*values)`` as decided on the exact values: evaluated in floats,
-    and again on ``exact`` values only when a comparison is a near tie."""
+    and again on Fractions only when a comparison is a near tie."""
     try:
         return fn(*values)
     except _NearTie:
-        return fn(*map(exact, values))
+        return fn(*map(Fraction, values))
 
 
 def decide_columns(fn: Callable, cols: Sequence[np.ndarray]):
@@ -252,7 +257,7 @@ def _one_minus(v: Number) -> Number:
     # fl(1 - v) lies in [0, 1], so 1.0 - fl(1 - v) is exact (Sterbenz) and
     # equals v exactly when the float complement was exact
     c = 1 - v
-    return c if not isinstance(v, float) or 1.0 - c == v else 1 - exact(v)
+    return c if not isinstance(v, float) or 1.0 - c == v else 1 - Fraction(v)
 
 
 def complement(t: ProbTuple) -> ProbTuple:

@@ -11,7 +11,8 @@ The D-regions (``d_i``, ``d_ii``, ``d_star``), the pi_n necessity tests
 (``min_above_pi_n``, ``max_below_one_minus_pi_n``), the n >= 4
 ``certificates`` and ``status_code`` are predicates of the coordinates
 written with + - * and comparisons joined by & and |, every comparison of a
-sum or with pi_n going through ``core.le``/``core.lt``.  So
+sum or with pi_n going through ``core.le``/``core.lt``, and pi_n taking the
+kind of the coordinates from ``core.constant``.  So
 ``core.in_region`` and ``decide_ntuple`` decide them on exact scalar
 values, ``core.decide_columns`` decides them exactly on numpy columns
 (``checks.symmetry``), and ``mc`` counts their float masks on numpy columns
@@ -26,8 +27,6 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .core import (
     DiscreteDist,
     HypothesisNotMetError,
@@ -39,6 +38,7 @@ from .core import (
     Verdict,
     WitnessSystem,
     as_tuple,
+    constant,
     decide_exactly,
     le,
     lt,
@@ -66,26 +66,6 @@ def _pi_n_upper(n: int) -> float:
     # boundary tuple (e.g. the all-2/3 4-tuple) as NotCyclic.
     v = pi_n(n)
     return v + 8.0 * math.ulp(v)
-
-
-@functools.cache
-def _exact_ends(t: float) -> tuple[Fraction, Fraction]:
-    return Fraction(t), 1 - Fraction(t)
-
-
-def _pi_n_ends(xs):
-    # _pi_n_upper(n) and 1 minus it (exact: it lies in [1/2, 1]) in the kind
-    # lt compares with the coordinates: floats beside floats, Fractions
-    # beside Fractions (the exact pass of decide_exactly, where a float side
-    # would be filtered again), 0-d arrays beside numpy columns (a float
-    # never meets a column in lt).
-    t = _pi_n_upper(len(xs))
-    x = xs[0]
-    if isinstance(x, Fraction):
-        return _exact_ends(t)
-    if isinstance(x, np.ndarray):
-        return np.array(t), np.array(1.0 - t)
-    return t, 1.0 - t
 
 
 def _all(conditions):
@@ -130,13 +110,13 @@ def d_star(*xs):
 
 def min_above_pi_n(*xs):
     """Every coordinate exceeds pi_n, so the tuple is not cyclic."""
-    t, _ = _pi_n_ends(xs)
+    t = constant(_pi_n_upper(len(xs)), xs[0])
     return _all(lt(t, x) for x in xs)
 
 
 def max_below_one_minus_pi_n(*xs):
     """Every coordinate is below 1 - pi_n, so the tuple is not cyclic."""
-    _, t = _pi_n_ends(xs)
+    t = constant(1.0 - _pi_n_upper(len(xs)), xs[0])  # exact: pi_n >= 1/2
     return _all(lt(x, t) for x in xs)
 
 

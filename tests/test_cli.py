@@ -8,7 +8,10 @@ import time
 import pytest
 
 from cyclictuples import core, mc, ntuple, triple
-from cyclictuples.cli import main
+from cyclictuples.cli import build_parser, main
+
+# the subcommand names, as the parser lists them
+COMMANDS = list(next(a.choices for a in build_parser()._actions if a.dest == "command"))
 
 
 def run(capsys, *argv):
@@ -247,6 +250,14 @@ class TestUsageErrors:
         code = main(["check", "--tuple", "0.6,0.5,0.3,0.4", "--verify-witness", str(path)])
         err = capsys.readouterr().err
         assert code == 2 and "8 atoms, at most 7" in err
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_every_subcommand_prints_its_help(self, capsys, cmd):
+        # help strings are built from the library's caps, and argparse %-formats them
+        with pytest.raises(SystemExit) as exit_:
+            main([cmd, "--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: cyclictuples {cmd}")
 
     def test_help_names_the_atom_cap(self, capsys, monkeypatch):
         monkeypatch.setattr(core, "MAX_WITNESS_ATOMS", 7)

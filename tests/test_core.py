@@ -17,7 +17,6 @@ from cyclictuples.core import (
     Verdict,
     WitnessSystem,
     complement,
-    exact,
     format_tuple,
     parse_tuple,
     reverse,
@@ -72,7 +71,7 @@ class TestProbTuple:
 
     def test_exact_conversion_is_lossless(self):
         t = ProbTuple((0.1, 0.5, 1.0))
-        e = ProbTuple(tuple(map(exact, t.values)))
+        e = ProbTuple(tuple(map(Fraction, t.values)))
         assert all(isinstance(v, Fraction) for v in e.values)
         assert all(float(a) == b for a, b in zip(e.values, t.values))
 

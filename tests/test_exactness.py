@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclictuples import checks, core, ntuple, triple
-from cyclictuples.core import Status, as_tuple, complement, decide_columns, decide_exactly, exact, in_region, le
+from cyclictuples.core import Status, as_tuple, complement, decide_columns, decide_exactly, in_region, le
 from cyclictuples.ntuple import decide_ntuple
 from cyclictuples.triple import is_cyclic_triple
 
@@ -30,7 +30,7 @@ fractions = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
 
 
 def _exact_values(t):
-    return tuple(map(exact, t))
+    return tuple(map(Fraction, t))
 
 
 @st.composite
@@ -48,7 +48,7 @@ def mixed_triples(draw):
     be a Fraction, and x is the float nearest 1 - yz, or an exact value."""
     y = draw(st.one_of(unit, fractions))
     z = draw(st.one_of(unit, fractions))
-    x = float(1 - exact(y) * exact(z))
+    x = float(1 - Fraction(y) * Fraction(z))
     if draw(st.booleans()):
         x = Fraction(x)
     return tuple(draw(st.permutations([x, y, z])))
@@ -113,7 +113,7 @@ def test_numpy_float64_sum_next_to_one_is_decided_exactly(direction):
     # just above 1, so every adjacent sum is < 1 (D_I) or every one is > 1
     # (D_II): the exact verdict is Unknown, where floats alone say Cyclic
     b = math.nextafter(0.25, direction)
-    assert 0.75 + b == 1.0 and exact(0.75) + exact(b) != 1
+    assert 0.75 + b == 1.0 and Fraction(0.75) + Fraction(b) != 1
     values = (0.75, b, 0.75, b)
     assert decide_ntuple(_exact_values(values)).status is Status.UNKNOWN
     for t in (np.array(values), tuple(map(np.float64, values))):
@@ -129,7 +129,7 @@ def test_near_tie_decided_on_exact_values():
 
     assert sum_at_most_one(Fraction(1, 10), Fraction(9, 10))
     assert not decide_exactly(sum_at_most_one, (0.1, 0.9))
-    assert exact(0.1) + exact(0.9) > 1
+    assert Fraction(0.1) + Fraction(0.9) > 1
 
 
 @settings(max_examples=1000, deadline=None)

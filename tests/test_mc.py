@@ -38,18 +38,26 @@ class TestSpecValidation:
             EstimatorSpec(target="p3", samples=10, seed=0, chunks=0)
 
 
+def _ends(result):
+    """(estimate, stderr) of each end of an ``estimate`` result."""
+    ends = result.values() if isinstance(result, dict) else [result]
+    return [(e.estimate, e.stderr) for e in ends]
+
+
 class TestDeterminism:
     def test_bit_identical_reruns(self):
         spec = EstimatorSpec(target="p3", samples=100_000, seed=77, chunks=4)
         a, b = estimate(spec), estimate(spec)
         assert a == b
 
-    def test_chunk_invariance(self):
-        base = estimate(EstimatorSpec(target="p3", samples=100_001, seed=3, chunks=1))
+    @pytest.mark.parametrize("target", list(mc.TARGETS))
+    def test_chunk_invariance(self, target):
+        # 100,001 samples: several blocks per chunk at 2 chunks, uneven chunks at 3, 7 and 16
+        n = None if mc.TARGETS[target][0] is None else 5
+        base = _ends(estimate(EstimatorSpec(target=target, samples=100_001, seed=3, n=n)))
         for chunks in (2, 3, 7, 16):
-            again = estimate(EstimatorSpec(target="p3", samples=100_001, seed=3, chunks=chunks))
-            assert again.estimate == base.estimate
-            assert again.stderr == base.stderr
+            spec = EstimatorSpec(target=target, samples=100_001, seed=3, chunks=chunks, n=n)
+            assert _ends(estimate(spec)) == base, chunks
 
     def test_bracket_chunk_invariance(self):
         a = estimate(EstimatorSpec(target="pn_bracket", samples=50_000, seed=1, chunks=1, n=5))
@@ -59,17 +67,13 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("target", list(mc.TARGETS))
     def test_more_chunks_than_samples(self, target):
-        def values(result):
-            ends = result.values() if isinstance(result, dict) else [result]
-            return [(e.estimate, e.stderr) for e in ends]
-
         n = None if mc.TARGETS[target][0] is None else 5
         for samples in (1, 5):
             for seed in (1, 2):
                 base = estimate(EstimatorSpec(target=target, samples=samples, seed=seed, n=n))
                 for chunks in (3, 7):
                     spec = EstimatorSpec(target=target, samples=samples, seed=seed, chunks=chunks, n=n)
-                    assert values(estimate(spec)) == values(base), (samples, seed, chunks)
+                    assert _ends(estimate(spec)) == _ends(base), (samples, seed, chunks)
 
     def test_workers_capped_at_cpu_count(self, monkeypatch):
         asked = []

@@ -19,7 +19,6 @@ from cyclictuples.core import (
     Reason,
     Status,
     WitnessSystem,
-    exact,
     in_region,
 )
 from cyclictuples.ntuple import (
@@ -220,8 +219,8 @@ class TestWitness:
             u = Fraction(v) + Fraction(step, Fraction(v).denominator ** 2)
         values[j] = min(max(u, 0), 1)  # a perturbation off [0, 1] is undone
         verified = verify_witness(w, values)
-        assert verified == (w.cycle_probabilities() == tuple(map(exact, values)))
-        assert verified == (exact(values[j]) == exact(v))
+        assert verified == (w.cycle_probabilities() == tuple(map(Fraction, values)))
+        assert verified == (Fraction(values[j]) == Fraction(v))
 
     def test_verify_rejects_mismatches(self):
         w, t = efron_dice()

@@ -14,7 +14,6 @@ from cyclictuples.core import (
     Reason,
     Status,
     complement,
-    exact,
     in_region,
 )
 from cyclictuples.rng import uniform_matrix
@@ -93,7 +92,7 @@ class TestDecision:
         for p in ([x, z, y], [y, x, z], [y, z, x], [z, x, y], [z, y, x]):
             assert is_cyclic_triple(p).status is base
         # complement the exact values: fl(1 - x) can round to another tuple
-        exact_t = ProbTuple(tuple(map(exact, (x, y, z))))
+        exact_t = ProbTuple(tuple(map(Fraction, (x, y, z))))
         assert is_cyclic_triple(complement(exact_t)).status is base
 
 
