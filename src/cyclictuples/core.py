@@ -3,7 +3,8 @@
 A tuple (x_1, ..., x_n) of probabilities is *cyclic* if independent random
 variables U_1, ..., U_n exist, almost surely pairwise distinct, with
 P(U_{i+1} > U_i) = x_i around the cycle (indices modulo n).  It is
-*nontransitive* if it is cyclic and every x_i > 1/2.
+*nontransitive* if it is cyclic and every x_i > 1/2.  A ``Verdict`` is the
+``Reason`` that decided a tuple, which fixes its status, and any witness.
 
 Number handling: a verdict on a scalar tuple is a statement about the exact
 value of its coordinates, a float being the dyadic rational it stores.  The
@@ -91,17 +92,17 @@ class Reason(str, enum.Enum):
     UNDECIDED = "Undecided"
 
 
-SUFFICIENCY_REASONS = frozenset(
-    {Reason.TRYBULA_BOTH_HOLD, Reason.UP_DOWN_CONDITION_MET, Reason.MIXED_PAIRWISE_SUMS}
-)
-VIOLATION_REASONS = frozenset(
-    {
-        Reason.TRYBULA_INEQ1_FAILS,
-        Reason.TRYBULA_INEQ2_FAILS,
-        Reason.MIN_EXCEEDS_PI_N,
-        Reason.MAX_BELOW_ONE_MINUS_PI_N,
-    }
-)
+# The status each reason proves: a Verdict's status is looked up here.
+_STATUS = {
+    Reason.TRYBULA_BOTH_HOLD: Status.CYCLIC,
+    Reason.UP_DOWN_CONDITION_MET: Status.CYCLIC,
+    Reason.MIXED_PAIRWISE_SUMS: Status.CYCLIC,
+    Reason.TRYBULA_INEQ1_FAILS: Status.NOT_CYCLIC,
+    Reason.TRYBULA_INEQ2_FAILS: Status.NOT_CYCLIC,
+    Reason.MIN_EXCEEDS_PI_N: Status.NOT_CYCLIC,
+    Reason.MAX_BELOW_ONE_MINUS_PI_N: Status.NOT_CYCLIC,
+    Reason.UNDECIDED: Status.UNKNOWN,
+}
 
 
 # Each side of a comparison passed to ``le``/``lt`` is a polynomial of
@@ -117,7 +118,8 @@ VIOLATION_REASONS = frozenset(
 # A gap whose float value exceeds _FLOAT_BAND therefore has the same sign
 # in exact arithmetic.  This covers a predicate that complements its columns
 # under ``decide_columns``: fl(1 - x) stands for 1 - x, a coordinate rounded
-# once, off by at most u/2, and 1 - fl(1 - x) is exact (Sterbenz).
+# once, off by at most u/2, and 1 - fl(1 - x) is exact (Sterbenz).  A test
+# in tests/test_exactness.py traces each predicate to check these shapes.
 _FLOAT_BAND = 2.0**-48
 
 # The near mask of the active ``decide_columns`` call, one flag per row;
@@ -510,21 +512,19 @@ class WitnessSystem:
 
 @dataclass(frozen=True, slots=True)
 class Verdict:
-    """Decision trichotomy with the machine-readable cause that fired."""
+    """The certificate that decided a tuple, which fixes the status, and
+    the witness that only a Cyclic verdict may carry."""
 
-    status: Status
     reason: Reason
     witness: WitnessSystem | None = None
 
     def __post_init__(self) -> None:
-        if self.status is Status.CYCLIC and self.reason not in SUFFICIENCY_REASONS:
-            raise ValueError(f"{self.reason} is not a sufficiency reason")
-        if self.status is Status.NOT_CYCLIC and self.reason not in VIOLATION_REASONS:
-            raise ValueError(f"{self.reason} is not a necessity-violation reason")
-        if self.status is Status.UNKNOWN and self.reason is not Reason.UNDECIDED:
-            raise ValueError("Unknown verdicts carry reason Undecided")
-        if self.witness is not None and self.status is not Status.CYCLIC:
+        if self.status is not Status.CYCLIC and self.witness is not None:
             raise ValueError("only Cyclic verdicts may carry a witness")
+
+    @property
+    def status(self) -> Status:
+        return _STATUS[self.reason]
 
     def to_dict(self) -> dict:
         out: dict = {"status": self.status.value, "reason": self.reason.value}

@@ -42,7 +42,6 @@ from .core import (
     Number,
     ProbTuple,
     Reason,
-    Status,
     Verdict,
     as_tuple,
     decide_exactly,
@@ -124,10 +123,10 @@ def _as_triple(t: ProbTuple | Sequence[Number]) -> ProbTuple:
     return t
 
 
-# The three triple verdicts, built once: a Verdict's checks cost about 2 us.
-_INEQ1_FAILS = Verdict(Status.NOT_CYCLIC, Reason.TRYBULA_INEQ1_FAILS)
-_INEQ2_FAILS = Verdict(Status.NOT_CYCLIC, Reason.TRYBULA_INEQ2_FAILS)
-_BOTH_HOLD = Verdict(Status.CYCLIC, Reason.TRYBULA_BOTH_HOLD)
+# The three triple verdicts, built once: constructing a Verdict costs about 1 us.
+_INEQ1_FAILS = Verdict(Reason.TRYBULA_INEQ1_FAILS)
+_INEQ2_FAILS = Verdict(Reason.TRYBULA_INEQ2_FAILS)
+_BOTH_HOLD = Verdict(Reason.TRYBULA_BOTH_HOLD)
 
 
 def _trybula_verdict(x, y, z) -> Verdict:
@@ -192,6 +191,12 @@ _DENSITIES = {"f1": _f1, "f2": _f2, "f3": _f3}
 _TOL = 1e-11  # absolute tolerance of every density quadrature
 
 
+def _density(which: str):
+    if which not in _DENSITIES:
+        raise ValueError(f"unknown density {which!r}")
+    return _DENSITIES[which]
+
+
 def density(which: str, x: float) -> float:
     """Evaluate the order-statistic density f1, f2, or f3 at x in [0, 1].
 
@@ -199,17 +204,16 @@ def density(which: str, x: float) -> float:
     cyclic triple (supported on [0, OMEGA]), f2 of the middle coordinate
     (symmetric about 1/2), and f3(x) = f1(1-x) of the largest.
     """
-    if which not in _DENSITIES:
-        raise ValueError(f"unknown density {which!r}")
+    f = _density(which)
     x = float(x)
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"abscissa {x} outside [0, 1]")
-    return _DENSITIES[which](x)
+    return f(x)
 
 
 def _pieces(which: str) -> list[tuple[float, float]]:
     if which == "f1":
-        pts = (0.0, ONE_MINUS_OMEGA, 0.5, OMEGA)
+        pts = (0.0, *F1_BREAKPOINTS)
     elif which == "f2":
         pts = (0.0, ONE_MINUS_OMEGA, 0.5, 1.0 - ONE_MINUS_OMEGA, 1.0)
     else:  # f3: mirror image of f1's support
@@ -220,9 +224,7 @@ def _pieces(which: str) -> list[tuple[float, float]]:
 def integrate_density(which: str, upper: float | None = None) -> float:
     """Integral of the density from the lower support end to ``upper``
     (default: the full mass).  f2 integrates on [0, 1/2] and doubles."""
-    if which not in _DENSITIES:
-        raise ValueError(f"unknown density {which!r}")
-    f = _DENSITIES[which]
+    f = _density(which)
     pieces = _pieces(which)
     if upper is None and which == "f2":
         return 2.0 * integrate_piecewise(f, [0.0, ONE_MINUS_OMEGA, 0.5], _TOL)
@@ -244,9 +246,7 @@ def density_stats(which: str) -> dict[str, float]:
     by bisection on the quadrature CDF (1e-10 interval tolerance), mode by
     golden-section search within each smooth piece.
     """
-    if which not in _DENSITIES:
-        raise ValueError(f"unknown density {which!r}")
-    f = _DENSITIES[which]
+    f = _density(which)
     pieces = _pieces(which)
     lo, hi = pieces[0][0], pieces[-1][1]
 

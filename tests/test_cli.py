@@ -51,6 +51,31 @@ class TestCheck:
         assert code == 2
 
 
+# one check per Reason: tuple, extra flags, JSON status, exit code
+REASON_CASES = {
+    core.Reason.TRYBULA_BOTH_HOLD: ("5/9,5/9,5/9", (), "Cyclic", 0),
+    core.Reason.TRYBULA_INEQ1_FAILS: ("0.9,0.9,0.9", (), "NotCyclic", 1),
+    core.Reason.TRYBULA_INEQ2_FAILS: ("0.1,0.1,0.1", (), "NotCyclic", 1),
+    core.Reason.UP_DOWN_CONDITION_MET: ("0.6,0.5,0.3,0.4", (), "Cyclic", 0),
+    core.Reason.MIXED_PAIRWISE_SUMS: ("0.6,0.5,0.3,0.4", ("--no-witness",), "Cyclic", 0),
+    core.Reason.MIN_EXCEEDS_PI_N: ("0.8,0.8,0.8,0.8", (), "NotCyclic", 1),
+    core.Reason.MAX_BELOW_ONE_MINUS_PI_N: ("0.1,0.1,0.1,0.1", (), "NotCyclic", 1),
+    core.Reason.UNDECIDED: ("2/3,2/3,2/3,2/3", (), "Unknown", 3),
+}
+
+
+def test_reason_cases_cover_every_reason():
+    assert set(REASON_CASES) == set(core.Reason)
+
+
+@pytest.mark.parametrize("reason", list(REASON_CASES), ids=lambda r: r.value)
+def test_check_prints_each_reason(capsys, reason):
+    text, flags, status, exit_code = REASON_CASES[reason]
+    code, data = run_json(capsys, "check", "--tuple", text, *flags)
+    assert (data["status"], data["reason"], code) == (status, reason.value, exit_code)
+    assert ("witness" in data) == (reason is core.Reason.UP_DOWN_CONDITION_MET)
+
+
 class TestWitnessRoundTrip:
     def test_pipe_into_verify(self, capsys, tmp_path):
         code, data = run_json(capsys, "witness", "--tuple", "0.6,0.5,0.3,0.4")
@@ -86,6 +111,14 @@ class TestWitnessRoundTrip:
     def test_hypothesis_not_met(self, capsys):
         code, data = run_json(capsys, "witness", "--tuple", "0.1,0.1,0.1,0.1")
         assert code == 1 and "error" in data
+
+    def test_explicit_index_not_met_pinned(self, capsys):
+        code, out = run(capsys, "witness", "--tuple", "0.6,0.5,0.3,0.4", "--index", "1")
+        assert code == 1
+        assert out == (
+            '{\n  "tuple": "3/5,1/2,3/10,2/5",\n'
+            '  "error": "index 1: need s_i >= 1 and s_(i+2) <= 1, got 4/5 and 1"\n}\n'
+        )
 
     def test_explicit_index(self, capsys):
         code, data = run_json(capsys, "witness", "--tuple", "0.6,0.5,0.3,0.4", "--index", "0")

@@ -133,24 +133,46 @@ class TestParsing:
             parse_tuple(bad)
 
 
+# Which reasons prove a tuple cyclic and which prove it not cyclic;
+# Undecided is the one reason of an Unknown verdict.
+SUFFICIENCY_REASONS = {Reason.TRYBULA_BOTH_HOLD, Reason.UP_DOWN_CONDITION_MET, Reason.MIXED_PAIRWISE_SUMS}
+VIOLATION_REASONS = {
+    Reason.TRYBULA_INEQ1_FAILS,
+    Reason.TRYBULA_INEQ2_FAILS,
+    Reason.MIN_EXCEEDS_PI_N,
+    Reason.MAX_BELOW_ONE_MINUS_PI_N,
+}
+
+
 class TestVerdict:
-    def test_reason_classes_enforced(self):
-        with pytest.raises(ValueError):
-            Verdict(Status.CYCLIC, Reason.MIN_EXCEEDS_PI_N)
-        with pytest.raises(ValueError):
-            Verdict(Status.NOT_CYCLIC, Reason.TRYBULA_BOTH_HOLD)
-        with pytest.raises(ValueError):
-            Verdict(Status.UNKNOWN, Reason.MIXED_PAIRWISE_SUMS)
+    def test_status_follows_reason(self):
+        assert set(Reason) == SUFFICIENCY_REASONS | VIOLATION_REASONS | {Reason.UNDECIDED}
+        for reason in Reason:
+            if reason in SUFFICIENCY_REASONS:
+                want = Status.CYCLIC
+            elif reason in VIOLATION_REASONS:
+                want = Status.NOT_CYCLIC
+            else:
+                want = Status.UNKNOWN
+            assert Verdict(reason).status is want
+            assert Verdict(reason).to_dict() == {"status": want.value, "reason": reason.value}
+
+    def test_status_is_not_an_argument(self):
+        for status in Status:
+            for reason in Reason:
+                with pytest.raises(KeyError):  # the status is looked up as a reason
+                    Verdict(status, reason)
+        with pytest.raises(TypeError):
+            Verdict(status=Status.CYCLIC, reason=Reason.TRYBULA_BOTH_HOLD)
 
     def test_witness_only_on_cyclic(self):
-        with pytest.raises(ValueError):
-            Verdict(
-                Status.NOT_CYCLIC,
-                Reason.MIN_EXCEEDS_PI_N,
-                witness=WitnessSystem(
-                    tuple(DiscreteDist((k,), (1,)) for k in range(3))
-                ),
-            )
+        witness = WitnessSystem(tuple(DiscreteDist((k,), (1,)) for k in range(3)))
+        for reason in Reason:
+            if reason in SUFFICIENCY_REASONS:
+                assert Verdict(reason, witness=witness).witness is witness
+            else:
+                with pytest.raises(ValueError):
+                    Verdict(reason, witness=witness)
 
 
 class TestDiscreteDist:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclictuples import checks, core, ntuple, triple
+from cyclictuples import checks, core, mc, ntuple, triple
 from cyclictuples.core import Status, as_tuple, complement, decide_columns, decide_exactly, in_region, le
 from cyclictuples.ntuple import decide_ntuple
 from cyclictuples.triple import is_cyclic_triple
@@ -241,3 +241,131 @@ def test_near_mask_belongs_to_its_call():
     finally:
         sys.setswitchinterval(interval)
     assert got == alone * 3 and outside is None
+
+
+# The proof of core._FLOAT_BAND assumes that every side of a comparison in
+# le/lt is a constant or a sum of at most two terms, each term a factor (a
+# coordinate x or its complement 1 - x) or a product of two factors, with
+# every intermediate value in [0, 2].  Run each predicate on symbolic
+# coordinates that carry their shape and an interval holding their value.
+
+
+class _Traced:
+    """A value computed from symbolic coordinates in [0, 1]: ``terms`` is
+    its shape as a sum of products of factors, each factor "x3" or "1-x3",
+    or None once it has no such shape; [lo, hi] holds the value."""
+
+    def __init__(self, terms, lo, hi):
+        assert 0 <= lo <= hi <= 2, f"an intermediate value in [{lo}, {hi}] leaves [0, 2]"
+        self.terms, self.lo, self.hi = terms, lo, hi
+
+    def factor(self):
+        """The one factor this value is, or None."""
+        return self.terms[0][0] if self.terms and len(self.terms) == len(self.terms[0]) == 1 else None
+
+    def __add__(self, other):
+        (t, lo, hi), (u, olo, ohi) = _parts(self), _parts(other)
+        return _Traced(t + u if t and u else None, lo + olo, hi + ohi)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        _, olo, ohi = _parts(other)
+        return _Traced(None, self.lo - ohi, self.hi - olo)
+
+    def __rsub__(self, other):
+        # 1 - x complements a factor; 1 - fl(1 - x) is x, exactly (Sterbenz)
+        f = self.factor() if other == 1 else None
+        terms = None if f is None else (((f[2:] if f.startswith("1-") else "1-" + f),),)
+        return _Traced(terms, other - self.hi, other - self.lo)
+
+    def __mul__(self, other):
+        (t, lo, hi), (u, olo, ohi) = _parts(self), _parts(other)
+        ends = [lo * olo, lo * ohi, hi * olo, hi * ohi]
+        single = t and u and len(t) == len(u) == 1
+        return _Traced((t[0] + u[0],) if single else None, min(ends), max(ends))
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        raise TypeError("truth test on a traced value")
+
+    def _compare(self, other):
+        # outside le/lt only stored values are compared, which is exact
+        for side in (self, other):
+            if isinstance(side, _Traced):
+                assert (side.factor() or "").startswith("x"), f"{side.terms} compared outside le/lt"
+        return _Cond()
+
+    __lt__ = __le__ = __gt__ = __ge__ = _compare
+
+
+def _parts(v):
+    """(terms, lo, hi) of a traced value or of a constant."""
+    return (v.terms, v.lo, v.hi) if isinstance(v, _Traced) else (None, v, v)
+
+
+class _Cond:
+    """The result of a traced comparison, joined by & and |."""
+
+    def _join(self, other):
+        return _Cond()
+
+    __and__ = __rand__ = __or__ = __ror__ = _join
+
+    def __bool__(self):
+        raise TypeError("truth test on a traced comparison")
+
+
+def _traced_compare(a, b):
+    for side in (a, b):
+        if isinstance(side, _Traced):
+            terms = side.terms
+            assert terms and len(terms) <= 2 and all(len(term) <= 2 for term in terms), (
+                f"a compared side of shape {terms} is outside the band proof"
+            )
+        else:
+            assert isinstance(side, (int, float)), side
+    _traced_compare.calls += 1
+    return _Cond()
+
+
+BAND_CASES = (
+    [
+        (f"mc.{name}", masks, n)
+        for name, (low, masks) in mc.TARGETS.items()
+        for n in ([3] if low is None else range(max(low, 4), 9))
+    ]
+    + [("complemented triple.cyclic", checks._complemented(triple.cyclic), 3)]
+    + [("complemented certificates", checks._complemented(ntuple.certificates), n) for n in range(4, 9)]
+    + [("triple.trybula", triple.trybula, 3)]
+    + [(f"ntuple.{fn.__name__}", fn, n) for fn in (ntuple.d_i, ntuple.d_ii) for n in range(4, 9)]
+)
+
+
+@pytest.fixture
+def traced(monkeypatch):
+    """le/lt of triple and ntuple, which import them by name, replaced by
+    _traced_compare; gives the n symbolic coordinates of an n-tuple."""
+    for module in (triple, ntuple):
+        monkeypatch.setattr(module, "le", _traced_compare)
+        monkeypatch.setattr(module, "lt", _traced_compare)
+    _traced_compare.calls = 0
+    return lambda n: [_Traced(((f"x{j}",),), 0.0, 1.0) for j in range(n)]
+
+
+@pytest.mark.parametrize("name, fn, n", BAND_CASES, ids=[f"{name}-{n}" for name, _, n in BAND_CASES])
+def test_compared_sides_have_the_band_proofs_shape(traced, name, fn, n):
+    result = fn(*traced(n))
+    for part in result if isinstance(result, tuple) else (result,):
+        assert isinstance(part, _Cond)
+    assert _traced_compare.calls > 0
+
+
+def test_truth_test_on_a_traced_value_raises(traced):
+    x, y = traced(2)
+    for value in (x, x + y, 1 - x, x * y, triple.le(x, 1), x <= y):
+        with pytest.raises(TypeError):
+            bool(value)
+    with pytest.raises(TypeError):
+        ntuple._updown_index(*traced(4))  # branches on a comparison

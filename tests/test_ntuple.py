@@ -42,6 +42,35 @@ from cyclictuples.ntuple import (
 from cyclictuples.rng import uniform_matrix
 
 
+def _updown_by_integers(values, i):
+    """The up-down condition x_i + x_{i+1} >= 1 >= x_{i+2} + x_{i+3} by
+    cross-multiplying the integer ratios of the four coordinates."""
+    n = len(values)
+    (pa, qa), (pb, qb), (pc, qc), (pd, qd) = (values[(i + j) % n].as_integer_ratio() for j in range(4))
+    return not (pa * qb + pb * qa < qa * qb or pc * qd + pd * qc > qc * qd)
+
+
+@st.composite
+def index_tuples(draw):
+    """A 4..10-tuple of floats, of Fractions or of both, and an index i.
+    Either sum s_i, s_{i+2} may be put at a near tie: x_{i+1} = fl(1 - x_i),
+    or one ulp either side of it."""
+    n = draw(st.integers(4, 10))
+    kind = draw(st.sampled_from(["float", "fraction", "mixed"]))
+    floats, fractions = st.floats(0, 1), st.fractions(0, 1, max_denominator=10**6)
+    coordinate = {"float": floats, "fraction": fractions, "mixed": st.one_of(floats, fractions)}[kind]
+    values = [draw(coordinate) for _ in range(n)]
+    i = draw(st.integers(0, 2 * n - 1))  # past n - 1 the index wraps
+    for j in (i, i + 2):
+        ulps = draw(st.sampled_from([None, 0, -1, 1]))  # None: no tie at this sum
+        if ulps is not None:
+            b = 1.0 - float(values[j % n])
+            if ulps:
+                b = min(1.0, max(0.0, math.nextafter(b, ulps * math.inf)))
+            values[(j + 1) % n] = Fraction(b) if kind == "fraction" else b
+    return values, i
+
+
 class TestPiN:
     def test_initial_values(self):
         assert abs(pi_n(3) - (math.sqrt(5) - 1) / 2) <= 1e-12
@@ -146,6 +175,19 @@ class TestWitness:
         assert verify_witness(build_witness(t, index=0), t)
         with pytest.raises(HypothesisNotMetError):
             build_witness(t, index=1)  # s_1 = 0.8 < 1
+
+    @settings(max_examples=400, deadline=None)
+    @given(index_tuples())
+    def test_explicit_index_check_is_the_integer_test(self, drawn):
+        values, i = drawn
+        try:
+            w = build_witness(values, i)
+        except HypothesisNotMetError as exc:
+            assert str(exc).startswith(f"index {i % len(values)}: need s_i >= 1 and s_(i+2) <= 1, got ")
+            assert not _updown_by_integers(values, i)
+        else:
+            assert _updown_by_integers(values, i)
+            assert verify_witness(w, values)
 
     def test_no_index_available(self):
         with pytest.raises(HypothesisNotMetError):
