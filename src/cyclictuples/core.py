@@ -519,7 +519,10 @@ class Verdict:
     witness: WitnessSystem | None = None
 
     def __post_init__(self) -> None:
-        if self.status is not Status.CYCLIC and self.witness is not None:
+        status = self.status  # KeyError for anything that is not a reason's value
+        if not isinstance(self.reason, Reason):
+            raise TypeError(f"reason must be a Reason, got {self.reason!r}")
+        if status is not Status.CYCLIC and self.witness is not None:
             raise ValueError("only Cyclic verdicts may carry a witness")
 
     @property

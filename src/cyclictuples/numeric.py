@@ -2,7 +2,8 @@
 and golden-section maximization.
 
 These are deliberately self-contained so the density computations are
-bit-reproducible and free of external tolerances.
+bit-reproducible and free of external tolerances.  Every quadrature runs
+at one absolute tolerance, ``_TOL = 1e-11``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from typing import Callable, Sequence
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_DEPTH = 48  # halvings after which adaptive_simpson accepts a piece as it is
+_TOL = 1e-11  # absolute tolerance of every quadrature
 
 
 def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
@@ -33,24 +35,24 @@ def _adaptive(f, a, m, b, fa, fm, fb, whole, tol, depth):
     )
 
 
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10) -> float:
+def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
     """Integrate f on [a, b] with adaptive Simpson refinement."""
     if a == b:
         return 0.0
     m = 0.5 * (a + b)
     fa, fm, fb = f(a), f(m), f(b)
     whole = _simpson(fa, fm, fb, b - a)
-    return _adaptive(f, a, m, b, fa, fm, fb, whole, tol, _MAX_DEPTH)
+    return _adaptive(f, a, m, b, fa, fm, fb, whole, _TOL, _MAX_DEPTH)
 
 
-def integrate_piecewise(f: Callable[[float], float], points: Sequence[float],
-                        tol: float = 1e-10) -> float:
+def integrate_piecewise(f: Callable[[float], float], points: Sequence[float]) -> float:
     """Integrate over [points[0], points[-1]] split at the interior points,
-    so piecewise-defined integrands never straddle a breakpoint."""
+    so piecewise-defined integrands never straddle a breakpoint.  A single
+    point or a zero-length piece adds nothing."""
     total = 0.0
     for a, b in zip(points[:-1], points[1:]):
         if b > a:
-            total += adaptive_simpson(f, a, b, tol)
+            total += adaptive_simpson(f, a, b)
     return total
 
 

@@ -187,8 +187,12 @@ def _f3(x: float) -> float:
     return _f1(1.0 - x)
 
 
-_DENSITIES = {"f1": _f1, "f2": _f2, "f3": _f3}
-_TOL = 1e-11  # absolute tolerance of every density quadrature
+# Each density with the breakpoints of its support, ends included.
+_DENSITIES = {
+    "f1": (_f1, (0.0, *F1_BREAKPOINTS)),
+    "f2": (_f2, (0.0, ONE_MINUS_OMEGA, 0.5, 1.0 - ONE_MINUS_OMEGA, 1.0)),
+    "f3": (_f3, (1.0 - OMEGA, 0.5, 1.0 - ONE_MINUS_OMEGA, 1.0)),  # f1's mirror image
+}
 
 
 def _density(which: str):
@@ -204,39 +208,21 @@ def density(which: str, x: float) -> float:
     cyclic triple (supported on [0, OMEGA]), f2 of the middle coordinate
     (symmetric about 1/2), and f3(x) = f1(1-x) of the largest.
     """
-    f = _density(which)
+    f, _ = _density(which)
     x = float(x)
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"abscissa {x} outside [0, 1]")
     return f(x)
 
 
-def _pieces(which: str) -> list[tuple[float, float]]:
-    if which == "f1":
-        pts = (0.0, *F1_BREAKPOINTS)
-    elif which == "f2":
-        pts = (0.0, ONE_MINUS_OMEGA, 0.5, 1.0 - ONE_MINUS_OMEGA, 1.0)
-    else:  # f3: mirror image of f1's support
-        pts = (1.0 - OMEGA, 0.5, 1.0 - ONE_MINUS_OMEGA, 1.0)
-    return list(zip(pts[:-1], pts[1:]))
-
-
 def integrate_density(which: str, upper: float | None = None) -> float:
     """Integral of the density from the lower support end to ``upper``
-    (default: the full mass).  f2 integrates on [0, 1/2] and doubles."""
-    f = _density(which)
-    pieces = _pieces(which)
-    if upper is None and which == "f2":
-        return 2.0 * integrate_piecewise(f, [0.0, ONE_MINUS_OMEGA, 0.5], _TOL)
-    hi = pieces[-1][1] if upper is None else float(upper)
+    (default: the full mass)."""
+    f, pts = _density(which)
+    hi = pts[-1] if upper is None else float(upper)
     if math.isnan(hi):
         raise ValueError("upper limit is nan")
-    total = 0.0
-    for a, b in pieces:
-        if hi <= a:
-            break
-        total += adaptive_simpson(f, a, min(b, hi), _TOL)
-    return total
+    return integrate_piecewise(f, [p for p in pts if p < hi] + [min(hi, pts[-1])])
 
 
 def density_stats(which: str) -> dict[str, float]:
@@ -246,22 +232,22 @@ def density_stats(which: str) -> dict[str, float]:
     by bisection on the quadrature CDF (1e-10 interval tolerance), mode by
     golden-section search within each smooth piece.
     """
-    f = _density(which)
-    pieces = _pieces(which)
-    lo, hi = pieces[0][0], pieces[-1][1]
+    f, pts = _density(which)
+    pieces = list(zip(pts[:-1], pts[1:]))
+    lo, hi = pts[0], pts[-1]
 
-    mean = sum(adaptive_simpson(lambda u: u * f(u), a, b, _TOL) for a, b in pieces)
+    mean = integrate_piecewise(lambda u: u * f(u), pts)
 
     # cumulative mass at piece ends makes each CDF evaluation one local
     # integral instead of a full pass
     cum = [0.0]
     for a, b in pieces:
-        cum.append(cum[-1] + adaptive_simpson(f, a, b, _TOL))
+        cum.append(cum[-1] + adaptive_simpson(f, a, b))
 
     def cdf(m: float) -> float:
         for i, (a, b) in enumerate(pieces):
             if m < b:
-                return cum[i] + (adaptive_simpson(f, a, m, _TOL) if m > a else 0.0)
+                return cum[i] + (adaptive_simpson(f, a, m) if m > a else 0.0)
         return cum[-1]
 
     median = bisect_root(lambda m: cdf(m) - 0.5, lo, hi, xtol=1e-10)

@@ -165,6 +165,11 @@ class TestVerdict:
         with pytest.raises(TypeError):
             Verdict(status=Status.CYCLIC, reason=Reason.TRYBULA_BOTH_HOLD)
 
+    def test_reason_value_string_is_refused(self):
+        for reason in Reason:
+            with pytest.raises(TypeError):
+                Verdict(reason.value)
+
     def test_witness_only_on_cyclic(self):
         witness = WitnessSystem(tuple(DiscreteDist((k,), (1,)) for k in range(3)))
         for reason in Reason:

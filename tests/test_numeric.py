@@ -12,7 +12,7 @@ def test_adaptive_simpson_polynomial_exact():
 
 def test_adaptive_simpson_vs_scipy():
     f = lambda x: math.exp(-x) * math.sin(7 * x) + math.log1p(x)
-    ours = adaptive_simpson(f, 0.0, 2.0, tol=1e-12)
+    ours = adaptive_simpson(f, 0.0, 2.0)
     ref, _ = integrate.quad(f, 0.0, 2.0, epsabs=1e-13, epsrel=1e-13)
     assert ours == pytest.approx(ref, abs=1e-10)
 
@@ -20,7 +20,15 @@ def test_adaptive_simpson_vs_scipy():
 def test_integrate_piecewise_splits_at_kinks():
     f = lambda x: abs(x - 0.3)
     # exact: 0.09/2 + 0.49/2
-    assert integrate_piecewise(f, [0.0, 0.3, 1.0], tol=1e-12) == pytest.approx(0.29, abs=1e-12)
+    assert integrate_piecewise(f, [0.0, 0.3, 1.0]) == pytest.approx(0.29, abs=1e-12)
+
+
+def test_integrate_piecewise_edges():
+    f = lambda x: 1.0 + x
+    assert integrate_piecewise(f, [0.4]) == 0.0  # one point: no piece
+    whole = integrate_piecewise(f, [0.0, 0.3, 1.0])
+    assert integrate_piecewise(f, [0.0, 0.3, 1.0, 1.0]) == whole  # zero-length last piece
+    assert integrate_piecewise(f, [0.0, 0.3]) == adaptive_simpson(f, 0.0, 0.3)
 
 
 def test_bisect_root():

@@ -210,6 +210,67 @@ class TestDensities:
         mass = integrate_density("f1") - integrate_density("f1", 0.5)
         assert abs(mass - P3_STAR / P3) < 1e-8
 
+    # (upper, integrate_density(which, upper)) at every breakpoint, at 0
+    # and 1, below and above the support and at +-inf, and the full mass
+    # and density_stats; each value is pinned bit for bit
+    PINNED_INTEGRALS = {
+        "f1": [
+            (-math.inf, 0.0),
+            (-0.5, 0.0),
+            (-0.1, 0.0),
+            (0.0, 0.0),
+            (0.25, 0.622800274652564),
+            (ONE_MINUS_OMEGA, 0.8711121279241681),
+            (0.5, 0.9821254849946083),
+            (OMEGA, 0.9999999999999991),
+            (0.7, 0.9999999999999991),
+            (1.0, 0.9999999999999991),
+            (1.5, 0.9999999999999991),
+            (math.inf, 0.9999999999999991),
+        ],
+        "f2": [
+            (-math.inf, 0.0),
+            (-0.5, 0.0),
+            (-0.1, 0.0),
+            (0.0, 0.0),
+            (0.25, 0.0700240228596034),
+            (ONE_MINUS_OMEGA, 0.2409586738968612),
+            (0.5, 0.5000000000000001),
+            (OMEGA, 0.759041326103139),
+            (0.7, 0.8806118419852907),
+            (1.0, 1.0000000000000002),
+            (1.5, 1.0000000000000002),
+            (math.inf, 1.0000000000000002),
+        ],
+        "f3": [
+            (-math.inf, 0.0),
+            (-0.5, 0.0),
+            (0.0, 0.0),
+            (0.25, 0.0),
+            (ONE_MINUS_OMEGA - 0.1, 0.0),
+            (ONE_MINUS_OMEGA, 0.0),
+            (0.5, 0.017874515005390886),
+            (OMEGA, 0.12888787207583108),
+            (0.7, 0.2704262121828979),
+            (1.0, 0.9999999999999993),
+            (1.5, 0.9999999999999993),
+            (math.inf, 0.9999999999999993),
+        ],
+    }
+    PINNED_MASS = {"f1": 0.9999999999999991, "f2": 1.0000000000000002, "f3": 0.9999999999999993}
+    PINNED_STATS = {
+        "f1": {"mean": 0.2116849759658172, "median": 0.1979714680215577, "mode": 0.10701735349522842},
+        "f2": {"mean": 0.5000000000000001, "median": 0.49999999997089617, "mode": 0.5},
+        "f3": {"mean": 0.7883150240341849, "median": 0.8020285319784421, "mode": 0.8929826414970478},
+    }
+
+    def test_integrals_pinned_bit_for_bit(self):
+        for which, rows in self.PINNED_INTEGRALS.items():
+            for upper, want in rows:
+                assert integrate_density(which, upper) == want, (which, upper)
+            assert integrate_density(which) == self.PINNED_MASS[which]
+            assert density_stats(which) == self.PINNED_STATS[which]
+
 
 class TestDensityStats:
     # expected values frozen from an independent scipy quadrature/optimizer run
