@@ -2,9 +2,12 @@
 
 Each function returns the JSON-ready section that ``cyclictuples report``
 emits under its name; ``tests/test_acceptance.py`` calls the same functions
-and asserts its own tolerances on the returned numbers.  Library functions
-are called through their modules (``triple.is_cyclic_triple``), so a
-patched or traced function is the one that runs.
+and asserts its own tolerances on the returned numbers.  The Monte Carlo
+sections are formatted from the ``mc`` estimates they are given, so the
+caller chooses how to draw them: ``report`` makes one ``mc.estimate_many``
+call for all of them.  Library functions are called through their modules
+(``triple.is_cyclic_triple``), so a patched or traced function is the one
+that runs.
 """
 
 from __future__ import annotations
@@ -41,15 +44,14 @@ def _sigmas_off(est, truth: float) -> float:
     return abs(est.estimate - truth) / stderr
 
 
-def mc_volumes(samples: int, seed: int, chunks: int) -> dict:
-    """Monte Carlo p3 and p3*, each with its distance from the closed form
-    in standard errors."""
+def mc_volumes(estimates: dict) -> dict:
+    """Monte Carlo p3 and p3*, given as {target: estimate}, each with its
+    distance from the closed form in standard errors."""
     vols = triple.exact_volumes()
-    section = {}
-    for target in ("p3", "p3_star"):
-        est, truth = _estimate(target, samples, seed, chunks), vols[target]
-        section[target] = {**est.to_dict(), "closed_form": truth, "sigmas_off": _sigmas_off(est, truth)}
-    return section
+    return {
+        target: {**est.to_dict(), "closed_form": vols[target], "sigmas_off": _sigmas_off(est, vols[target])}
+        for target, est in estimates.items()
+    }
 
 
 def densities() -> dict:
@@ -87,10 +89,9 @@ def histograms(samples: int, seed: int) -> dict:
     return section
 
 
-def dn_star_volume(n: int, samples: int, seed: int, chunks: int) -> dict:
-    """Exact volume A_{n-1}/(2n (n-1)!) of D*_n beside its Monte Carlo estimate."""
+def dn_star_volume(n: int, est) -> dict:
+    """Exact volume A_{n-1}/(2n (n-1)!) of D*_n beside its Monte Carlo estimate ``est``."""
     exact = ntuple.vol_dn_star(n)
-    est = _estimate("vol_Dn_star", samples, seed, chunks, n)
     off = _sigmas_off(est, float(exact))
     return {"exact": str(exact), "exact_float": float(exact), **est.to_dict(), "sigmas_off": off}
 
@@ -121,12 +122,12 @@ def _near_exact(est, p: float) -> bool:
     return est.samples * kl <= math.log(2 / _FALSE_ALARM)
 
 
-def pn_bracket(n: int, samples: int, seed: int, chunks: int) -> dict:
-    """Monte Carlo bracket on p_n beside the closed-form bounds; consistent
-    when it is ordered, meets the loose bounds within 4 standard errors, and
-    each end passes the exact test of ``_near_exact`` against the value it
-    estimates: the lower end ``sharper_lower``, the upper ``sharper_upper``."""
-    res = _estimate("pn_bracket", samples, seed, chunks, n)
+def pn_bracket(n: int, res: dict) -> dict:
+    """The Monte Carlo bracket ``res`` on p_n (a ``pn_bracket`` estimate)
+    beside the closed-form bounds; consistent when it is ordered, meets the
+    loose bounds within 4 standard errors, and each end passes the exact
+    test of ``_near_exact`` against the value it estimates: the lower end
+    ``sharper_lower``, the upper ``sharper_upper``."""
     bounds = ntuple.pn_bounds(n)
     lo, up = res["lower"], res["upper"]
     consistent = (

@@ -17,10 +17,18 @@ one minus the fraction *provably* not cyclic (min above pi_n, or max below
 Each chunk draws its points in the blocks that ``rng.block_buffers``
 sizes, into the buffers it hands out: the calling thread's kept set, the
 one the sampler also draws into, for blocks of up to ``rng.BLOCK_WORDS``
-words (every target at n <= 16), and a set for one chunk otherwise.  A
-pool thread's buffers go when the pool exits.  Every predicate reads
+words (every target at n <= 16), and a set for one chunk otherwise.
+Chunks run on one pool of ``os.cpu_count()`` threads, made on first use
+and kept for the life of the process, so its threads and the buffers each
+of them keeps last across calls.  A forked child forgets the pool, whose
+threads it does not inherit, and makes its own.  Every predicate reads
 C-contiguous columns: the (dim x points) array that ``rng.uniform_words``
 draws in place.  Block sizes change no result.
+
+``estimate_many`` draws each stream once for many estimates: the specs
+of one (seed, dim) read the same stream, so its blocks are drawn up to the
+longest sample count among them and each spec counts its masks on the
+rows below its own.  ``estimate`` is its one-spec case.
 
 No region is written here.  ``TARGETS`` maps each target to the masks it
 counts on the columns of a block of points: one predicate from ``triple``
@@ -33,6 +41,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -95,17 +104,43 @@ class EstimatorSpec:
         return 3 if self.n is None else self.n
 
 
-def _count_chunk(spec: EstimatorSpec, start: int, stop: int) -> tuple[int, ...]:
-    """How many of the samples start..stop-1 (at least one) each of the
-    target's masks holds for."""
-    masks = TARGETS[spec.target][1]
-    dim = spec.dim
+def _count_chunk(specs: list[EstimatorSpec], start: int, stop: int) -> list[np.ndarray | int]:
+    """For each of ``specs``, all of one seed and dim, how many of the
+    samples start..stop-1 below its own sample count each of its target's
+    masks holds for: an array of counts, or 0 when it has no such sample."""
+    seed, dim = specs[0].seed, specs[0].dim
     rows, buffers = rng.block_buffers(dim)
-    hits = 0
+    hits = [0] * len(specs)
     for pos in range(start, stop, rows):
-        cols = rng.uniform_words(spec.seed, pos * dim, min(rows, stop - pos) * dim, dim, out=buffers)
-        hits = hits + np.array([np.count_nonzero(m) for m in masks(*cols)])
-    return tuple(hits.tolist())
+        cols = rng.uniform_words(seed, pos * dim, min(rows, stop - pos) * dim, dim, out=buffers)
+        for i, spec in enumerate(specs):
+            if pos < spec.samples:
+                masks = TARGETS[spec.target][1](*cols[:, : spec.samples - pos])
+                hits[i] = hits[i] + np.array([np.count_nonzero(m) for m in masks])
+    return hits
+
+
+_pool: ThreadPoolExecutor | None = None  # the kept workers, made by _workers
+_pool_lock = threading.Lock()
+
+
+def _workers() -> ThreadPoolExecutor:
+    """The process's pool of ``os.cpu_count()`` threads, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=os.cpu_count() or 1)
+        return _pool
+
+
+def _forget_workers() -> None:
+    """Drop the pool in a forked child, which has none of its threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
 
 
 def _bernoulli(p_hat: float, spec: EstimatorSpec) -> MCEstimate:
@@ -115,6 +150,42 @@ def _bernoulli(p_hat: float, spec: EstimatorSpec) -> MCEstimate:
     )
 
 
+def _result(spec: EstimatorSpec, counts: list[int]) -> MCEstimate | dict[str, MCEstimate]:
+    shares = [count / spec.samples for count in counts]
+    if len(shares) == 1:
+        return _bernoulli(shares[0], spec)
+    cyclic, not_cyclic = shares
+    return {"lower": _bernoulli(cyclic, spec), "upper": _bernoulli(1.0 - not_cyclic, spec)}
+
+
+def estimate_many(specs) -> list[MCEstimate | dict[str, MCEstimate]]:
+    """``[estimate(spec) for spec in specs]``, drawing each stream once.
+
+    The specs of one (seed, dim) share one draw: the samples below the
+    largest sample count among them, in as many chunks as the largest
+    ``chunks`` among them.  Counts depend only on global sample indices,
+    so each result equals the one ``estimate`` gives, and echoes its own
+    spec's ``chunks``.
+    """
+    specs = list(specs)
+    groups: dict[tuple[int, int], list[EstimatorSpec]] = {}
+    for spec in dict.fromkeys(specs):
+        groups.setdefault((spec.seed, spec.dim), []).append(spec)
+    counts = {}
+    for group in groups.values():
+        samples = max(spec.samples for spec in group)
+        # no chunk is left empty, so the first holds sample 0 of every spec
+        chunks = min(max(spec.chunks for spec in group), samples)
+        ranges = [(c * samples // chunks, (c + 1) * samples // chunks) for c in range(chunks)]
+        if chunks > 1:
+            results = list(_workers().map(lambda r: _count_chunk(group, *r), ranges))
+        else:
+            results = [_count_chunk(group, *ranges[0])]
+        for spec, hits in zip(group, zip(*results)):
+            counts[spec] = sum(hits).tolist()
+    return [_result(spec, counts[spec]) for spec in specs]
+
+
 def estimate(spec: EstimatorSpec) -> MCEstimate | dict[str, MCEstimate]:
     """Run the estimator described by ``spec``.
 
@@ -122,20 +193,7 @@ def estimate(spec: EstimatorSpec) -> MCEstimate | dict[str, MCEstimate]:
     {"lower": ..., "upper": ...} with lower <= upper always: Unknown
     samples are counted in neither the cyclic nor the non-cyclic tally.
     """
-    # counts depend only on global sample indices; no chunk is left empty
-    chunks = min(spec.chunks, spec.samples)
-    ranges = [(c * spec.samples // chunks, (c + 1) * spec.samples // chunks) for c in range(chunks)]
-    if chunks > 1:
-        with ThreadPoolExecutor(max_workers=min(chunks, os.cpu_count() or 1)) as pool:
-            results = list(pool.map(lambda r: _count_chunk(spec, *r), ranges))
-    else:
-        results = [_count_chunk(spec, *ranges[0])]
-
-    shares = [sum(col) / spec.samples for col in zip(*results)]
-    if len(shares) == 1:
-        return _bernoulli(shares[0], spec)
-    cyclic, not_cyclic = shares
-    return {"lower": _bernoulli(cyclic, spec), "upper": _bernoulli(1.0 - not_cyclic, spec)}
+    return estimate_many([spec])[0]
 
 
 def histogram(which: str, samples: int, bins: int, seed: int) -> DensityGrid:

@@ -2,7 +2,8 @@
 
 Every measured number comes from ``cyclictuples.checks``, the same
 functions behind ``cyclictuples report``; each test picks its sample size,
-seed and chunk count, and the tolerances and published constants it
+seed and chunk count (for the Monte Carlo sections, of the ``mc``
+estimates it hands them), and the tolerances and published constants it
 asserts live here.  Run with ``pytest tests/test_acceptance.py -v -s`` to
 see one printed PASS line (with the measured numbers) per criterion.
 """
@@ -10,7 +11,7 @@ see one printed PASS line (with the measured numbers) per criterion.
 import math
 from itertools import permutations
 
-from cyclictuples import checks
+from cyclictuples import checks, mc
 
 SEED = 20240810
 
@@ -30,7 +31,9 @@ def test_criterion_01_exact_volumes():
 
 
 def test_criterion_02_monte_carlo_triple_volumes():
-    section = checks.mc_volumes(samples=10_000_000, seed=SEED, chunks=8)
+    targets = ("p3", "p3_star")
+    ests = mc.estimate_many(mc.EstimatorSpec(t, samples=10_000_000, seed=SEED, chunks=8) for t in targets)
+    section = checks.mc_volumes(dict(zip(targets, ests)))
     sigmas = {target: est["sigmas_off"] for target, est in section.items()}
     for target, off in sigmas.items():
         est = section[target]
@@ -70,7 +73,8 @@ def test_criterion_05_histograms_match_closed_forms():
 def test_criterion_06_dn_star_volumes():
     offs = []
     for n in (3, 4, 5, 6):
-        est = checks.dn_star_volume(n, samples=10_000_000, seed=SEED + n, chunks=8)
+        spec = mc.EstimatorSpec("vol_Dn_star", samples=10_000_000, seed=SEED + n, chunks=8, n=n)
+        est = checks.dn_star_volume(n, mc.estimate(spec))
         off = est["sigmas_off"]
         assert off <= 4.0, (n, est["estimate"], est["exact_float"], off)
         offs.append(off)
@@ -104,7 +108,8 @@ def test_criterion_07_alternating_permutations():
 def test_criterion_08_bracket_consistency():
     details = []
     for n in range(4, 9):
-        res = checks.pn_bracket(n, samples=1_000_000, seed=SEED + n, chunks=1)
+        spec = mc.EstimatorSpec("pn_bracket", samples=1_000_000, seed=SEED + n, chunks=1, n=n)
+        res = checks.pn_bracket(n, mc.estimate(spec))
         lo, up, b = res["lower"], res["upper"], res["bounds"]
         assert lo["estimate"] <= up["estimate"]
         assert lo["estimate"] - 4 * lo["stderr"] <= b["upper"]

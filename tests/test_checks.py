@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from cyclictuples import checks, ntuple, triple
+from cyclictuples import checks, mc, ntuple, triple
 from cyclictuples.core import ProbTuple, Status, complement, reverse, rotate
 
 
@@ -87,9 +87,10 @@ def test_shifted_pi_n_threshold_makes_bracket_inconsistent(monkeypatch):
     # A necessity test 0.01 below pi_n calls too many tuples not cyclic: the
     # loose bounds still hold, the upper end's exact test does not.
     n, samples, seed = 4, 1_000_000, 41
-    assert checks.pn_bracket(n, samples, seed, chunks=1)["consistent"]
+    spec = mc.EstimatorSpec("pn_bracket", samples, seed, chunks=1, n=n)
+    assert checks.pn_bracket(n, mc.estimate(spec))["consistent"]
     monkeypatch.setattr(ntuple, "_pi_n_upper", lambda n: ntuple.pi_n(n) - 0.01)
-    res = checks.pn_bracket(n, samples, seed, chunks=1)
+    res = checks.pn_bracket(n, mc.estimate(spec))
     lo, up, b = res["lower"], res["upper"], res["bounds"]
     assert lo["estimate"] <= up["estimate"]
     assert lo["estimate"] - 4 * lo["stderr"] <= b["upper"]

@@ -3,11 +3,12 @@ import hashlib
 import io
 import json
 import math
+import threading
 import time
 
 import pytest
 
-from cyclictuples import core, mc, ntuple, triple
+from cyclictuples import core, mc, ntuple, rng, triple
 from cyclictuples.cli import build_parser, main
 
 # the subcommand names, as the parser lists them
@@ -356,16 +357,17 @@ def test_report_stdout_pinned(capsys):
 def test_report_survives_zero_stderr(capsys, monkeypatch):
     # an estimate of exactly 0 or 1 has stderr 0: its distance is measured
     # in the exact value's binomial standard error instead
-    estimate = mc.estimate
+    estimate_many = mc.estimate_many
+    ends = {"p3_star": 0.0, "vol_Dn_star": 1.0}
 
-    def at_an_end(spec):
-        est = estimate(spec)
-        ends = {"p3_star": 0.0, "vol_Dn_star": 1.0}
-        if spec.target in ends:
-            return dataclasses.replace(est, estimate=ends[spec.target], stderr=0.0)
-        return est
+    def at_an_end(specs):
+        specs = list(specs)
+        return [
+            dataclasses.replace(est, estimate=ends[spec.target], stderr=0.0) if spec.target in ends else est
+            for spec, est in zip(specs, estimate_many(specs))
+        ]
 
-    monkeypatch.setattr(mc, "estimate", at_an_end)
+    monkeypatch.setattr(mc, "estimate_many", at_an_end)
     code, data = run_json(capsys, "report", "--samples-scale", "0.002", "--seed", "7")
     samples = 20_000
     p3_star = data["mc_volumes"]["p3_star"]
@@ -390,6 +392,34 @@ def test_report_draws_one_sample(capsys, monkeypatch):
     code = main(["report", "--samples-scale", "0.002", "--seed", "7"])
     capsys.readouterr()
     assert code == 0 and calls == [(2000, 7)]
+
+
+def test_report_draws_each_stream_once(capsys, monkeypatch):
+    # scale 0.002: 20,000 samples for p3, p3* and D*_3..D*_6, 2,000 for the
+    # brackets at n = 4..8; each (seed, dim) stream is drawn to its longest
+    # count, and determinism draws its 2,000 p3 samples three times
+    counting = threading.local()
+    words = []
+    count_chunk, draw = mc._count_chunk, rng.uniform_words
+
+    def in_mc(*args):
+        counting.on = True
+        try:
+            return count_chunk(*args)
+        finally:
+            counting.on = False
+
+    def recording(seed, start, count, dim=None, **kwargs):
+        if getattr(counting, "on", False):
+            words.append(count)
+        return draw(seed, start, count, dim, **kwargs)
+
+    monkeypatch.setattr(mc, "_count_chunk", in_mc)
+    monkeypatch.setattr(rng, "uniform_words", recording)
+    code = main(["report", "--samples-scale", "0.002", "--seed", "7"])
+    capsys.readouterr()
+    streams = 20_000 * (3 + 4 + 5 + 6) + 2_000 * (7 + 8)
+    assert code == 0 and sum(words) == streams + 3 * 2_000 * 3
 
 
 class TestReportFailures:

@@ -1,7 +1,9 @@
 import math
 import os
+import signal
 import sys
 import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -75,20 +77,15 @@ class TestDeterminism:
                     spec = EstimatorSpec(target=target, samples=samples, seed=seed, chunks=chunks, n=n)
                     assert _ends(estimate(spec)) == _ends(base), (samples, seed, chunks)
 
-    def test_workers_capped_at_cpu_count(self, monkeypatch):
-        asked = []
-
-        class RecordingPool(mc.ThreadPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                asked.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(mc, "ThreadPoolExecutor", RecordingPool)
+    def test_workers_capped_at_cpu_count(self, monkeypatch, fresh_pool):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         base = estimate(EstimatorSpec(target="p3", samples=10_001, seed=3, chunks=1))
-        again = estimate(EstimatorSpec(target="p3", samples=10_001, seed=3, chunks=7))
-        assert asked == [2]
-        assert again.estimate == base.estimate
+        idents = record_chunk_threads(monkeypatch)
+        for _ in range(3):
+            again = estimate(EstimatorSpec(target="p3", samples=10_001, seed=3, chunks=7))
+            assert again.estimate == base.estimate
+        assert len(idents) == 21 and len({ident for ident, _, _ in idents}) <= 2
+        assert len(mc._pool._threads) <= 2
 
     def test_blocks_capped_in_words(self, monkeypatch):
         words = []
@@ -127,6 +124,31 @@ class TestDeterminism:
         a = estimate(EstimatorSpec(target="p3", samples=100_000, seed=1))
         b = estimate(EstimatorSpec(target="p3", samples=100_000, seed=2))
         assert a.estimate != b.estimate
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """mc's worker pool made anew inside the test, and shut down after it."""
+    monkeypatch.setattr(mc, "_pool", None)
+    yield
+    if mc._pool is not None:
+        mc._pool.shutdown()
+
+
+def record_chunk_threads(monkeypatch) -> list:
+    """A list to which each ``mc._count_chunk`` call appends the ident of its
+    thread, that thread's kept ``rng.BlockBuffers`` and their block."""
+    seen = []
+    count_chunk = mc._count_chunk
+
+    def recording(*args):
+        hits = count_chunk(*args)
+        buffers = rng._kept.buffers
+        seen.append((threading.get_ident(), buffers, buffers.block))
+        return hits
+
+    monkeypatch.setattr(mc, "_count_chunk", recording)
+    return seen
 
 
 def in_new_thread(fn):
@@ -216,6 +238,94 @@ class TestKeptBuffers:
         assert np.array_equal(got[2], want[2])
         assert len(used) > 3 and all(b is kept for b in used)
         assert 0 < max(kept.block.size, kept.offsets.size) <= rng.BLOCK_WORDS
+
+
+class TestKeptPool:
+    def test_estimates_share_threads_and_their_buffers(self, monkeypatch, fresh_pool):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        seen = record_chunk_threads(monkeypatch)
+        calls, threads = [], None
+        for seed in range(3):  # three calls on at most two threads: one thread serves two
+            estimate(EstimatorSpec(target="p3", samples=200_000, seed=seed, chunks=2))
+            threads = threads or set(mc._pool._threads)
+            calls.append({ident for ident, _, _ in seen[-2:]})
+        assert set(mc._pool._threads) == threads and len(threads) <= 2
+        assert set().union(*calls) <= {t.ident for t in threads}
+        assert sum(map(len, calls)) > len(set().union(*calls))
+        kept = {}
+        for ident, buffers, block in seen:
+            first = kept.setdefault(ident, (buffers, block))
+            assert first[0] is buffers and first[1] is block
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_makes_its_own_pool(self, fresh_pool):
+        # the child inherits the pool object but none of its threads
+        spec = EstimatorSpec(target="p3", samples=100_000, seed=9, chunks=2)
+        want = repr(estimate(spec))
+        read, write = os.pipe()
+        with warnings.catch_warnings():
+            # Python 3.12+ warns about forking a process that has threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                os.close(read)
+                signal.alarm(30)  # a child left waiting on the parent's pool dies
+                os.write(write, repr(estimate(spec)).encode())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        with os.fdopen(read, "rb") as pipe:
+            got = pipe.read().decode()
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert got == want
+
+
+class TestEstimateMany:
+    @pytest.mark.parametrize(
+        "specs",
+        [
+            [  # one seed at several dims, and another seed
+                EstimatorSpec(target="p3", samples=30_000, seed=4, chunks=2),
+                EstimatorSpec(target="vol_Dn_star", samples=20_000, seed=4, n=4),
+                EstimatorSpec(target="vol_Dn_star", samples=25_000, seed=4, chunks=3, n=7),
+                EstimatorSpec(target="pn_bracket", samples=10_000, seed=4, n=5),
+                EstimatorSpec(target="vol_Dn_star", samples=20_000, seed=5, n=4),
+            ],
+            [  # one (seed, dim): 1 sample, less than a block, several blocks
+                EstimatorSpec(target="p3", samples=1, seed=5),
+                EstimatorSpec(target="p3_star", samples=5_000, seed=5, chunks=3),
+                EstimatorSpec(target="vol_C3_I", samples=50_001, seed=5, chunks=2),
+                EstimatorSpec(target="vol_C3_II", samples=40_000, seed=5, chunks=7),
+                EstimatorSpec(target="vol_C3_ordered", samples=16_385, seed=5),
+                EstimatorSpec(target="vol_Dn_star", samples=2, seed=5, chunks=4, n=3),
+                EstimatorSpec(target="p3", samples=50_001, seed=5, n=3),
+            ],
+            [  # brackets beside a longer volume of the same stream
+                EstimatorSpec(target="pn_bracket", samples=1, seed=6, n=4),
+                EstimatorSpec(target="pn_bracket", samples=3_000, seed=6, chunks=2, n=4),
+                EstimatorSpec(target="vol_Dn_star", samples=60_000, seed=6, chunks=2, n=4),
+                EstimatorSpec(target="pn_bracket", samples=30_000, seed=6, chunks=5, n=4),
+                EstimatorSpec(target="pn_bracket", samples=20_000, seed=6, n=8),
+            ],
+            [  # duplicates, also at another chunk count
+                EstimatorSpec(target="p3", samples=20_000, seed=7),
+                EstimatorSpec(target="pn_bracket", samples=5_000, seed=7, n=6),
+                EstimatorSpec(target="p3", samples=20_000, seed=7),
+                EstimatorSpec(target="p3", samples=20_000, seed=7, chunks=3),
+                EstimatorSpec(target="pn_bracket", samples=5_000, seed=7, n=6),
+            ],
+        ],
+        ids=["seed-at-dims", "one-stream", "brackets", "duplicates"],
+    )
+    def test_equals_estimate_of_each(self, specs):
+        want = [estimate(spec) for spec in specs]
+        got = mc.estimate_many(specs)
+        assert got == want
+        assert repr(got) == repr(want)
 
 
 class TestAgainstClosedForms:
