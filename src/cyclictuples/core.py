@@ -197,13 +197,23 @@ def decide_columns(fn: Callable, cols: Sequence[np.ndarray]):
     return result
 
 
+def _describe(v) -> str:
+    """v shortened by ``reprlib`` for an error message; an int or Fraction
+    too long to write in decimal is given by its size in bits instead."""
+    if isinstance(v, (int, Fraction)):
+        bits = max(abs(v.numerator).bit_length(), v.denominator.bit_length())
+        if bits * math.log10(2) >= MAX_TOKEN_DIGITS:
+            return f"<{'negative ' if v < 0 else ''}{type(v).__name__} of {bits} bits>"
+    return reprlib.repr(v)
+
+
 def _check_probability(v) -> None:
     if not isinstance(v, (int, float, Fraction)) or isinstance(v, bool):
         raise InvalidTupleError(f"unsupported value type {type(v).__name__}")
     if isinstance(v, float) and not math.isfinite(v):
         raise InvalidTupleError(f"non-finite value {v!r}")
     if not 0 <= v <= 1:
-        raise InvalidTupleError(f"value {v!r} outside [0, 1]")
+        raise InvalidTupleError(f"value {_describe(v)} outside [0, 1]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -306,7 +316,7 @@ def parse_tuple(text: str, exact: bool = False) -> ProbTuple:
     """
     tokens = [tok.strip() for tok in text.split(",")]
     if any(not tok for tok in tokens):
-        raise InvalidTupleError(f"malformed tuple string {text!r}")
+        raise InvalidTupleError(f"malformed tuple string {reprlib.repr(text)}")
     values: list[Number] = []
     for tok in tokens:
         if ("/" in tok or exact) and _token_digits(tok) > MAX_TOKEN_DIGITS:
@@ -320,7 +330,7 @@ def parse_tuple(text: str, exact: bool = False) -> ProbTuple:
             else:
                 values.append(float(tok))
         except (ValueError, ZeroDivisionError) as exc:
-            raise InvalidTupleError(f"malformed tuple entry {tok!r}") from exc
+            raise InvalidTupleError(f"malformed tuple entry {reprlib.repr(tok)}") from exc
     return ProbTuple(tuple(values))
 
 
@@ -506,7 +516,7 @@ class WitnessSystem:
             parsed.append(dist)
         system = cls(tuple(parsed))
         if "n" in data and data["n"] != system.n:
-            raise ValueError(f"declared n={data['n']} but found {system.n} distributions")
+            raise ValueError(f"declared n={_describe(data['n'])} but found {system.n} distributions")
         return system
 
 

@@ -18,10 +18,10 @@ Each chunk draws its points in the blocks that ``rng.block_buffers``
 sizes, into the buffers it hands out: the calling thread's kept set, the
 one the sampler also draws into, for blocks of up to ``rng.BLOCK_WORDS``
 words (every target at n <= 16), and a set for one chunk otherwise.
-Chunks run on one pool of ``os.cpu_count()`` threads, made on first use
-and kept for the life of the process, so its threads and the buffers each
-of them keeps last across calls.  A forked child forgets the pool, whose
-threads it does not inherit, and makes its own.  Every predicate reads
+Chunks run on one pool of ``os.cpu_count()`` threads, made at import,
+which starts no thread; a forked child makes a new one.  The pool is kept
+for the life of the process, so its threads and the buffers each of them
+keeps last across calls.  Every predicate reads
 C-contiguous columns: the (dim x points) array that ``rng.uniform_words``
 draws in place.  Block sizes change no result.
 
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -120,27 +119,17 @@ def _count_chunk(specs: list[EstimatorSpec], start: int, stop: int) -> list[np.n
     return hits
 
 
-_pool: ThreadPoolExecutor | None = None  # the kept workers, made by _workers
-_pool_lock = threading.Lock()
-
-
-def _workers() -> ThreadPoolExecutor:
-    """The process's pool of ``os.cpu_count()`` threads, made on first use."""
+def _new_pool() -> None:
+    """Make the process's pool of ``os.cpu_count()`` threads: at import,
+    where it starts no thread, and in a forked child, which has none of the
+    parent's."""
     global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=os.cpu_count() or 1)
-        return _pool
+    _pool = ThreadPoolExecutor(max_workers=os.cpu_count() or 1)
 
 
-def _forget_workers() -> None:
-    """Drop the pool in a forked child, which has none of its threads."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
+_new_pool()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_workers)
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def _bernoulli(p_hat: float, spec: EstimatorSpec) -> MCEstimate:
@@ -177,10 +166,8 @@ def estimate_many(specs) -> list[MCEstimate | dict[str, MCEstimate]]:
         # no chunk is left empty, so the first holds sample 0 of every spec
         chunks = min(max(spec.chunks for spec in group), samples)
         ranges = [(c * samples // chunks, (c + 1) * samples // chunks) for c in range(chunks)]
-        if chunks > 1:
-            results = list(_workers().map(lambda r: _count_chunk(group, *r), ranges))
-        else:
-            results = [_count_chunk(group, *ranges[0])]
+        # one chunk runs on the calling thread, in the buffers it keeps
+        results = list((_pool.map if chunks > 1 else map)(lambda r: _count_chunk(group, *r), ranges))
         for spec, hits in zip(group, zip(*results)):
             counts[spec] = sum(hits).tolist()
     return [_result(spec, counts[spec]) for spec in specs]

@@ -339,6 +339,28 @@ class TestUsageErrors:
         assert code == 2 and "witness atom" in err
         assert len(err.encode()) <= 500
 
+    @pytest.mark.parametrize(
+        "text, declared_n",
+        [
+            ("1e4000,0.5,0.5", None),  # an exact value of 4,001 digits
+            ("x" * 100_000 + ",0.5,0.5", None),  # a long malformed entry
+            ("x" * 100_000 + ",,0.5", None),  # a long string with an empty entry
+            ("0.6,0.5,0.3,0.4", "4" * 100_000),  # a witness declaring a long n
+        ],
+        ids=["long-value", "long-entry", "long-string", "long-n"],
+    )
+    def test_echoed_input_message_bounded(self, capsys, tmp_path, text, declared_n):
+        argv = ["check", "--tuple", text]
+        if declared_n is not None:
+            _, data = run_json(capsys, "witness", "--tuple", text)
+            path = tmp_path / "w.json"
+            path.write_text(json.dumps(dict(data, n=declared_n)))
+            argv += ["--verify-witness", str(path)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert len(err.encode()) <= 200
+
     def test_deeply_nested_witness_exit_two(self, capsys, monkeypatch):
         text = b"[" * 100_000 + b"]" * 100_000
         monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text)))

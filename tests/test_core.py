@@ -53,6 +53,14 @@ class TestProbTuple:
             ("0.5", "unsupported value type str"),
             # numpy's own repr: np.float64(1.5) from numpy 2, 1.5 before
             (np.float64(1.5), f"value {np.float64(1.5)!r} outside [0, 1]"),
+            # too long to write in decimal: given by size
+            pytest.param(10**5000, "value <int of 16610 bits> outside [0, 1]", id="long-int"),
+            pytest.param(-(10**5000), "value <negative int of 16610 bits> outside [0, 1]",
+                         id="long-negative-int"),
+            pytest.param(Fraction(10**5000, 3), "value <Fraction of 16610 bits> outside [0, 1]",
+                         id="long-fraction"),
+            pytest.param(Fraction(-1, 10**5000), "value <negative Fraction of 16610 bits> outside [0, 1]",
+                         id="long-negative-fraction"),
         ],
     )
     def test_error_messages(self, value, message):
@@ -60,6 +68,7 @@ class TestProbTuple:
             with pytest.raises(InvalidTupleError) as exc:
                 ProbTuple(values)
             assert type(exc.value) is InvalidTupleError and str(exc.value) == message
+            assert len(message) <= 200
 
     def test_accepts_the_closed_interval(self):
         values = (0.0, 1.0, -0.0, Fraction(0), Fraction(1), 0, 1, np.float64(0.5), 5e-324)

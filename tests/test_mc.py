@@ -1,6 +1,7 @@
 import math
 import os
 import signal
+import subprocess
 import sys
 import threading
 import warnings
@@ -79,6 +80,7 @@ class TestDeterminism:
 
     def test_workers_capped_at_cpu_count(self, monkeypatch, fresh_pool):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        mc._new_pool()
         base = estimate(EstimatorSpec(target="p3", samples=10_001, seed=3, chunks=1))
         idents = record_chunk_threads(monkeypatch)
         for _ in range(3):
@@ -127,12 +129,14 @@ class TestDeterminism:
 
 
 @pytest.fixture
-def fresh_pool(monkeypatch):
-    """mc's worker pool made anew inside the test, and shut down after it."""
-    monkeypatch.setattr(mc, "_pool", None)
+def fresh_pool():
+    """mc's worker pool put back after the test, which may make its own by
+    ``mc._new_pool()``; a pool the test made is shut down."""
+    kept = mc._pool
     yield
-    if mc._pool is not None:
+    if mc._pool is not kept:
         mc._pool.shutdown()
+        mc._pool = kept
 
 
 def record_chunk_threads(monkeypatch) -> list:
@@ -243,6 +247,7 @@ class TestKeptBuffers:
 class TestKeptPool:
     def test_estimates_share_threads_and_their_buffers(self, monkeypatch, fresh_pool):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        mc._new_pool()
         seen = record_chunk_threads(monkeypatch)
         calls, threads = [], None
         for seed in range(3):  # three calls on at most two threads: one thread serves two
@@ -258,10 +263,13 @@ class TestKeptPool:
             assert first[0] is buffers and first[1] is block
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_makes_its_own_pool(self, fresh_pool):
-        # the child inherits the pool object but none of its threads
+    @pytest.mark.parametrize("used", [False, True], ids=["fork-before-use", "fork-after-use"])
+    def test_forked_child_makes_its_own_pool(self, fresh_pool, used):
+        # the child inherits the pool object but none of its threads; a pool
+        # not yet used has none in the parent either
+        mc._new_pool()
         spec = EstimatorSpec(target="p3", samples=100_000, seed=9, chunks=2)
-        want = repr(estimate(spec))
+        want = repr(estimate(spec)) if used else None
         read, write = os.pipe()
         with warnings.catch_warnings():
             # Python 3.12+ warns about forking a process that has threads
@@ -281,7 +289,28 @@ class TestKeptPool:
             got = pipe.read().decode()
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
-        assert got == want
+        assert got == (want or repr(estimate(spec)))
+
+    def test_import_starts_no_thread(self):
+        # the pool starts its threads on the first chunked estimate, and
+        # nothing else does: not one chunk, and not check, witness or exact
+        code = (
+            "import contextlib, io, threading\n"
+            "import cyclictuples\n"
+            "from cyclictuples import cli, mc\n"
+            "assert threading.active_count() == 1\n"
+            "mc.estimate(mc.EstimatorSpec(target='p3', samples=10_000, seed=1))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for cmd in ('check', 'witness'):\n"
+            "        cli.main([cmd, '--tuple', '0.6,0.5,0.3,0.4'])\n"
+            "    cli.main(['exact'])\n"
+            "assert threading.active_count() == 1, threading.enumerate()\n"
+        )
+        src = os.path.dirname(os.path.dirname(mc.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
 
 
 class TestEstimateMany:
