@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import reprlib
 import sys
 
 import numpy as np
@@ -38,31 +39,50 @@ REPORT_MAX_SCALE = 100
 DENSITY_MAX_GRID = 10**6
 
 
+def _bounded(convert):
+    """``convert`` as an argparse ``type=``: where argparse would echo the
+    whole value of a ``ValueError``, the message gives it by ``reprlib``."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {reprlib.repr(text)}") from None
+
+    return parse
+
+
+_int = _bounded(int)
+
+
+@_bounded
 def _samples(text: str) -> int:
     value = float(text)
     if not (math.isfinite(value) and value >= 1):
-        raise argparse.ArgumentTypeError(f"samples must be a finite number >= 1, got {text!r}")
+        raise argparse.ArgumentTypeError(f"samples must be a finite number >= 1, got {reprlib.repr(text)}")
     return int(value)
 
 
 def _histogram_samples(text: str) -> int:
     value = _samples(text)
     if value > triple.MAX_SAMPLE_ROWS:
-        raise argparse.ArgumentTypeError(f"samples must be at most {triple.MAX_SAMPLE_ROWS:,}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"samples must be at most {triple.MAX_SAMPLE_ROWS:,}, got {reprlib.repr(text)}")
     return value
 
 
+@_bounded
 def _samples_scale(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and 0 < value <= REPORT_MAX_SCALE):
-        raise argparse.ArgumentTypeError(f"scale must be in (0, {REPORT_MAX_SCALE}], got {text!r}")
+        raise argparse.ArgumentTypeError(f"scale must be in (0, {REPORT_MAX_SCALE}], got {reprlib.repr(text)}")
     return value
 
 
+@_bounded
 def _grid(text: str) -> int:
     value = int(text)
     if not 1 <= value <= DENSITY_MAX_GRID:
-        raise argparse.ArgumentTypeError(f"grid must be in [1, {DENSITY_MAX_GRID}], got {text!r}")
+        raise argparse.ArgumentTypeError(f"grid must be in [1, {DENSITY_MAX_GRID}], got {reprlib.repr(text)}")
     return value
 
 
@@ -210,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="construct an exact witness system (n >= 4)")
     p.add_argument("--tuple", required=True)
-    p.add_argument("--index", type=int, default=None, help="0-based index of the pairwise-sum condition")
+    p.add_argument("--index", type=_int, default=None, help="0-based index of the pairwise-sum condition")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("exact", help="closed-form triple volumes")
@@ -226,15 +246,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("bounds", help="closed-form bounds on p_n")
-    p.add_argument("--n", type=int, required=True, help=f"tuple length, 4 to {ntuple.MAX_N:,}")
+    p.add_argument("--n", type=_int, required=True, help=f"tuple length, 4 to {ntuple.MAX_N:,}")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("estimate", help="Monte Carlo estimate of a region volume")
     p.add_argument("--target", required=True, choices=list(mc.TARGETS))
     p.add_argument("--samples", type=_samples, default=1_000_000, help=f"samples, 1 to {mc.MAX_SAMPLES:,} (about an hour)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--chunks", type=int, default=1, help=f"chunks, 1 to {mc.MAX_CHUNKS:,}; fixes the result")
-    p.add_argument("--n", type=int, default=None, help=f"tuple length, at most {ntuple.MAX_N:,}")
+    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--chunks", type=_int, default=1, help=f"chunks, 1 to {mc.MAX_CHUNKS:,}; fixes the result")
+    p.add_argument("--n", type=_int, default=None, help=f"tuple length, at most {ntuple.MAX_N:,}")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("histogram", help="empirical density of an order statistic as CSV")
@@ -245,14 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=1_000_000,
         help=f"rows to sample, at most {triple.MAX_SAMPLE_ROWS:,} ({triple.MAX_SAMPLE_ROWS * 24 / 1e9:.1f} GB of samples)",
     )
-    p.add_argument("--bins", type=int, default=50, help=f"bins, 10 to {mc.MAX_BINS:,}")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--bins", type=_int, default=50, help=f"bins, 10 to {mc.MAX_BINS:,}")
+    p.add_argument("--seed", type=_int, default=0)
     p.set_defaults(func=cmd_histogram)
 
     p = sub.add_parser("report", help="composite JSON over every verified quantity")
     p.add_argument("--samples-scale", type=_samples_scale, default=1.0, help=f"scale on sample counts, in (0, {REPORT_MAX_SCALE}]")
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--chunks", type=int, default=4, help=f"chunks, 1 to {mc.MAX_CHUNKS:,}")
+    p.add_argument("--seed", type=_int, default=2024)
+    p.add_argument("--chunks", type=_int, default=4, help=f"chunks, 1 to {mc.MAX_CHUNKS:,}")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -68,21 +68,25 @@ def _pi_n_upper(n: int) -> float:
 
 
 def _all(conditions):
-    # & rather than all(), so numpy columns give a mask; a scalar False
-    # stops early, so later conditions are never evaluated
+    """The conditions joined by &, rather than all(), so numpy columns give
+    a mask.  The first condition seeds the result, so a column is only ever
+    combined with a column: ``True & column`` would run numpy's slow
+    scalar-array loop.  A scalar False stops early, so later conditions are
+    never evaluated."""
     result = True
     for c in conditions:
-        result = result & c
+        result = c if result is True else result & c
         if result is False:
             break
     return result
 
 
 def _any(conditions):
-    # | rather than any(), like _all; a scalar True stops early
+    """The conditions joined by |, seeded like ``_all``; a scalar True
+    stops early."""
     result = False
     for c in conditions:
-        result = result | c
+        result = c if result is False else result | c
         if result is True:
             break
     return result
@@ -104,7 +108,7 @@ def d_ii(*xs):
 
 def d_star(*xs):
     """D*_n: D_I with x_1 minimal (ties count, a measure-zero convention)."""
-    return d_i(*xs) & _all(xs[0] <= x for x in xs)
+    return d_i(*xs) & _all(xs[0] <= x for x in xs[1:])
 
 
 def min_above_pi_n(*xs):

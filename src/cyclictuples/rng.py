@@ -7,8 +7,8 @@ only on (seed, number of samples), never on how work was partitioned.
 
 Points come column-major: ``uniform_words(..., dim)`` puts word
 ``start + i*dim + j`` at ``[j, i]``, so each coordinate of a block of
-points is one contiguous row, and ``uniform_matrix`` returns the
-(points x dim) transpose of that array.
+points is one contiguous row; its transpose ``.T`` is the (points x dim)
+array with one row per point.
 
 ``block_buffers(dim)`` is the one place that sizes the blocks of ``mc``
 and the sampler and says where they are drawn.  A block is drawn in
@@ -109,6 +109,11 @@ def uniform_words(
     word ``start_word + i*dim + j`` at ``[j, i]``: column i holds point i.
     With ``out`` the array is a view of its buffers, valid until their
     next draw; without it the array is fresh.
+
+    Each float is the top 53 bits of a mixed word times 2^-53.  The bits
+    are cast to float64 through an int64 view, which is exact below 2^53
+    and faster than numpy's uint64 cast, and then scaled in place by that
+    power of two, which is exact too.
     """
     if count < 0 or start_word < 0:
         raise ValueError("start_word and count must be nonnegative")
@@ -125,16 +130,7 @@ def uniform_words(
     scratch = np.empty_like(z)  # per draw, not kept: see the module docstring
     _mix64(z, scratch)
     np.right_shift(z, _S11, out=scratch)
-    np.multiply(scratch, _TO_UNIT, out=block)
+    np.copyto(block, scratch.view(np.int64), casting="unsafe")
+    block *= _TO_UNIT
     return block if dim else block[0]
 
-
-def uniform_matrix(seed: int, start_sample: int, count: int, dim: int) -> np.ndarray:
-    """Uniform points for global samples [start_sample, start_sample + count),
-    one row per sample, ``dim`` coordinates each.  The array is the
-    transpose of a column-major block, so ``.T`` gives C-contiguous columns.
-
-    Sample i always consumes stream words [i*dim, (i+1)*dim), which is what
-    makes chunked generation bit-identical to a single pass.
-    """
-    return uniform_words(seed, start_sample * dim, count * dim, dim).T

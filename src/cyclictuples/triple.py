@@ -273,15 +273,16 @@ def unrestricted_min_stats() -> dict[str, float]:
     return {"mean": 0.25, "median": 1.0 - 2.0 ** (-1.0 / 3.0)}
 
 
-def _sort_rows(pts: np.ndarray) -> None:
-    """Sort each row of an N x 3 array in place with an exact min/max
-    network (no arithmetic, so every value is kept bit for bit)."""
-    a, b, c = pts[:, 0], pts[:, 1], pts[:, 2]
+def _sort_rows(cols: np.ndarray) -> None:
+    """Sort each point of a 3 x N array of columns in place, so that
+    ``cols[0] <= cols[1] <= cols[2]``, with an exact min/max network (no
+    arithmetic, so every value is kept bit for bit)."""
+    a, b, c = cols
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    mid = np.maximum(lo, np.minimum(hi, c))
+    np.minimum(hi, c, out=b)
+    np.maximum(lo, b, out=b)
     np.minimum(lo, c, out=a)
     np.maximum(hi, c, out=c)
-    b[:] = mid
 
 
 def sample_ordered_cyclic(count: int, seed: int) -> np.ndarray:
@@ -297,9 +298,12 @@ def sample_ordered_cyclic(count: int, seed: int) -> np.ndarray:
     The output is the first ``count`` accepted rows of the seed's stream,
     in stream order: deterministic for fixed (count, seed).  The rows are
     drawn in the blocks that ``rng.block_buffers`` sizes, at most 16,384
-    rows into the thread's kept buffers.  ``count`` is at most
-    ``MAX_SAMPLE_ROWS``.  Returns a C-ordered array of shape (count, 3)
-    with rows satisfying x <= y <= z.
+    rows into the thread's kept buffers, as three C-contiguous columns.
+    The accepted rows of a block are gathered one column at a time, by
+    their indices, into a column of the output: gathering whole rows from
+    the transposed block is about as slow as drawing it.  ``count`` is at
+    most ``MAX_SAMPLE_ROWS``.  Returns a C-ordered array of shape
+    (count, 3) with rows satisfying x <= y <= z.
     """
     if not 1 <= count <= MAX_SAMPLE_ROWS:
         raise ValueError(f"count must be in [1, {MAX_SAMPLE_ROWS}], got {count}")
@@ -312,10 +316,11 @@ def sample_ordered_cyclic(count: int, seed: int) -> np.ndarray:
         # deviation below sqrt(need) at n ~ need/p3, so asking for four
         # deviations more makes a second draw rare.
         rows = min(block_rows, int((need + 4.0 * math.sqrt(need) + 8.0) / P3))
-        pts = rng.uniform_words(seed, word, rows * 3, 3, out=buffers).T
+        cols = rng.uniform_words(seed, word, rows * 3, 3, out=buffers)
         word += rows * 3
-        _sort_rows(pts)
-        accepted = np.compress(ordered_cyclic(*pts.T), pts, axis=0)[:need]
-        out[have : have + len(accepted)] = accepted
-        have += len(accepted)
+        _sort_rows(cols)
+        keep = np.flatnonzero(ordered_cyclic(*cols))[:need]
+        for j in range(3):
+            np.take(cols[j], keep, out=out[have : have + len(keep), j])
+        have += len(keep)
     return out

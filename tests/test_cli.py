@@ -11,8 +11,13 @@ import pytest
 from cyclictuples import core, mc, ntuple, rng, triple
 from cyclictuples.cli import build_parser, main
 
-# the subcommand names, as the parser lists them
-COMMANDS = list(next(a.choices for a in build_parser()._actions if a.dest == "command"))
+# each subcommand's parser by name, as the parser lists them
+SUBPARSERS = next(a.choices for a in build_parser()._actions if a.dest == "command")
+COMMANDS = list(SUBPARSERS)
+# every option with a type= converter, as (subcommand, option)
+TYPED_OPTIONS = [
+    (cmd, action.option_strings[0]) for cmd, sub in SUBPARSERS.items() for action in sub._actions if action.type
+]
 
 
 def run(capsys, *argv):
@@ -360,6 +365,19 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == 2 and "Traceback" not in err
         assert len(err.encode()) <= 200
+
+    @pytest.mark.parametrize("char", ["1", "x"])
+    @pytest.mark.parametrize("cmd, option", TYPED_OPTIONS, ids=[f"{c}{o}" for c, o in TYPED_OPTIONS])
+    def test_long_option_value_message_bounded(self, capsys, cmd, option, char):
+        # argparse prints the subcommand's usage, then one error line
+        required = {"witness": ["--tuple", "0.6,0.5,0.3,0.4"], "estimate": ["--target", "p3"],
+                    "histogram": ["--which", "f1"], "bounds": ["--n", "5"]}
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, *required.get(cmd, []), option, char * 100_000])
+        err = capsys.readouterr().err
+        usage = SUBPARSERS[cmd].format_usage()
+        assert exc.value.code == 2 and err.startswith(usage)
+        assert option in err and len(err[len(usage):].encode()) <= 200
 
     def test_deeply_nested_witness_exit_two(self, capsys, monkeypatch):
         text = b"[" * 100_000 + b"]" * 100_000

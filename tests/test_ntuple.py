@@ -23,6 +23,8 @@ from cyclictuples.core import (
 )
 from cyclictuples.ntuple import (
     MAX_N,
+    _all,
+    _any,
     _pi_n_upper,
     alternating_count,
     andre_series,
@@ -33,13 +35,15 @@ from cyclictuples.ntuple import (
     d_ii,
     d_star,
     efron_dice,
+    max_below_one_minus_pi_n,
+    min_above_pi_n,
     moon_moser_dice,
     pi_n,
     pn_bounds,
     verify_witness,
     vol_dn_star,
 )
-from cyclictuples.rng import uniform_matrix
+from cyclictuples.rng import uniform_words
 
 
 def _updown_by_integers(values, i):
@@ -137,7 +141,7 @@ class TestDecide:
 
     def test_pi_filter_never_contradicts_trybula(self):
         # necessity soundness at n = 3 against the exact decision
-        pts = uniform_matrix(2718, 0, 100_000, 3)
+        pts = uniform_words(2718, 0, 100_000 * 3, 3).T
         thr = _pi_n_upper(3)
         flagged = pts[pts.min(axis=1) > thr]
         from cyclictuples.triple import is_cyclic_triple
@@ -358,7 +362,7 @@ class TestDnRegions:
     def boundary_rows(n, seed):
         """Rows whose adjacent sums are often exactly 1 or one float step
         from it: x_{i+1} is 1 - x_i, or the float next to it, at random i."""
-        pts = uniform_matrix(seed, 0, 20_000, n).copy()
+        pts = uniform_words(seed, 0, 20_000 * n, n).T.copy()
         rnd = np.random.default_rng(seed)
         for i in range(n - 1):
             chosen = rnd.random(len(pts)) < 0.6
@@ -385,10 +389,80 @@ class TestDnRegions:
             sums = boundary[:, :-1] + boundary[:, 1:]
             for near_one in (np.nextafter(1.0, 0), 1.0, np.nextafter(1.0, 2)):
                 assert (sums == near_one).sum() > 100, (n, near_one)
-            for pts in (uniform_matrix(1000 + n, 0, 100_000, n), boundary, self.tie_rows(n, 3000 + n)):
+            for pts in (uniform_words(1000 + n, 0, 100_000 * n, n).T, boundary, self.tie_rows(n, 3000 + n)):
                 cols = tuple(pts.T.copy())
                 cyclic, _ = certificates(*cols)
                 assert np.array_equal(cyclic, ~(d_i(*cols) | d_ii(*cols))), n
+
+
+def _recording(op):
+    def recorded(self, other):
+        _Recorded.operands.append(other)
+        return op(self, other)
+
+    return recorded
+
+
+class _Recorded(np.ndarray):
+    """A numpy column that records the operands of every & and |."""
+
+    operands: list = []
+    __and__ = _recording(np.ndarray.__and__)
+    __rand__ = _recording(np.ndarray.__rand__)
+    __or__ = _recording(np.ndarray.__or__)
+    __ror__ = _recording(np.ndarray.__ror__)
+
+
+class TestJoins:
+    """``_all``/``_any`` join conditions with & and |, seeded by the first."""
+
+    @staticmethod
+    def counted(conditions, seen):
+        for c in conditions:
+            seen.append(c)
+            yield c
+
+    @pytest.mark.parametrize("join, decisive", [(_all, False), (_any, True)])
+    def test_scalars_stop_at_the_deciding_condition(self, join, decisive):
+        for k in range(4):
+            seen = []
+            conditions = [not decisive] * k + [decisive] + [not decisive] * 3
+            assert join(self.counted(conditions, seen)) is decisive
+            assert len(seen) == k + 1
+        seen = []
+        assert join(self.counted([not decisive] * 3, seen)) is (not decisive)
+        assert len(seen) == 3
+        assert join(iter(())) is (not decisive)
+
+    def test_columns(self):
+        rnd = np.random.default_rng(5)
+        cols = [rnd.random(1000) < 0.7 for _ in range(4)]
+        assert _all(iter(cols[:1])) is cols[0] and _any(iter(cols[:1])) is cols[0]
+        for k in (2, 3, 4):
+            assert np.array_equal(_all(iter(cols[:k])), np.logical_and.reduce(cols[:k]))
+            assert np.array_equal(_any(iter(cols[:k])), np.logical_or.reduce(cols[:k]))
+
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    def test_columns_never_meet_a_python_bool(self, n):
+        cols = [c.view(_Recorded) for c in uniform_words(40 + n, 0, 1000 * n, n)]
+        _Recorded.operands = []
+        for region in (d_i, d_ii, d_star, min_above_pi_n, max_below_one_minus_pi_n):
+            region(*cols)
+        if n >= 4:
+            certificates(*cols)
+        assert _Recorded.operands
+        assert all(isinstance(o, np.ndarray) and o.shape == (1000,) for o in _Recorded.operands)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_d_star_matches_its_definition(self, n):
+        # D_I with x_1 minimal, the comparison of x_1 with itself included
+        for pts in (TestDnRegions.boundary_rows(n, 50 + n), TestDnRegions.tie_rows(n, 60 + n)):
+            cols = tuple(pts.T.copy())
+            first_minimal = np.logical_and.reduce([cols[0] <= x for x in cols])
+            assert np.array_equal(d_star(*cols), d_i(*cols) & first_minimal), n
+        for row in TestDnRegions.tie_rows(n, 70 + n)[:300]:
+            xs = [Fraction(v) for v in row]
+            assert d_star(*xs) == (d_i(*xs) and all(xs[0] <= x for x in xs)), xs
 
 
 class TestAlternatingCounts:

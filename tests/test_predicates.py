@@ -10,7 +10,7 @@ import pytest
 from cyclictuples import ntuple, triple
 from cyclictuples.core import in_region
 from cyclictuples.mc import EstimatorSpec, estimate
-from cyclictuples.rng import uniform_matrix
+from cyclictuples.rng import uniform_words
 
 TRIPLE_PREDICATES = [
     triple.trybula,
@@ -30,7 +30,7 @@ NTUPLE_PREDICATES = [
 
 
 def _rows(seed, dim):
-    pts = uniform_matrix(seed, 0, 10_000, dim)
+    pts = uniform_words(seed, 0, 10_000 * dim, dim).T
     # a few exact boundary rows: sums equal to 1, ties, the cube's corners
     pts[:4] = [0.5] * dim, [0.0] * dim, [1.0] * dim, ([0.25, 0.75] * dim)[:dim]
     return pts

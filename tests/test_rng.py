@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cyclictuples import rng
-from cyclictuples.rng import BlockBuffers, block_buffers, uniform_matrix, uniform_words
+from cyclictuples.rng import BlockBuffers, block_buffers, uniform_words
 
 MASK = (1 << 64) - 1
 
@@ -43,8 +43,8 @@ def test_slices_are_substreams():
 
 
 def test_matrix_indexed_by_global_sample():
-    whole = uniform_matrix(9, 0, 1000, 4)
-    parts = np.vstack([uniform_matrix(9, 0, 337, 4), uniform_matrix(9, 337, 663, 4)])
+    whole = uniform_words(9, 0, 1000 * 4, 4).T
+    parts = np.vstack([uniform_words(9, 0, 337 * 4, 4).T, uniform_words(9, 337 * 4, 663 * 4, 4).T])
     assert np.array_equal(whole, parts)
 
 
@@ -52,7 +52,7 @@ def test_stream_view_matches_matrix():
     buffers = BlockBuffers()
     a = uniform_words(11, 0, 30, 3, out=buffers).T.copy()  # the next draw overwrites the view
     b = uniform_words(11, 30, 15, 3, out=buffers).T
-    assert np.array_equal(np.vstack([a, b]), uniform_matrix(11, 0, 15, 3))
+    assert np.array_equal(np.vstack([a, b]), uniform_words(11, 0, 15 * 3, 3).T)
 
 
 def test_stream_draws_into_reused_buffers():
@@ -118,7 +118,7 @@ def test_known_answers(seed, start):
 
 @pytest.mark.parametrize("dim", [1, 3, 8])
 def test_columns_contiguous_and_row_major(dim):
-    pts = uniform_matrix(17, 1001, 500, dim)
+    pts = uniform_words(17, 1001 * dim, 500 * dim, dim).T
     assert pts.shape == (500, dim)
     cols = pts.T
     assert cols.flags.c_contiguous

@@ -16,7 +16,7 @@ from cyclictuples.core import (
     complement,
     in_region,
 )
-from cyclictuples.rng import uniform_matrix
+from cyclictuples.rng import uniform_words
 from cyclictuples.triple import (
     F1_BREAKPOINTS,
     OMEGA,
@@ -78,7 +78,7 @@ class TestDecision:
 
     def test_equivalence_with_simplified_ordered_test(self):
         # on sorted triples the decision reduces to x+yz<=1 and (1-z)+(1-x)(1-y)<=1
-        pts = np.sort(uniform_matrix(314, 0, 1_000_000, 3), axis=1)
+        pts = np.sort(uniform_words(314, 0, 1_000_000 * 3, 3).T, axis=1)
         x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
         simplified = (x + y * z <= 1) & ((1 - z) + (1 - x) * (1 - y) <= 1)
         full = ordered_cyclic(*pts.T)
@@ -110,7 +110,7 @@ class TestRegions:
         assert not in_region([0.5, 0.5, 0.5], nontransitive)
 
     def test_region_definitions_match_decision(self):
-        pts = uniform_matrix(55, 0, 20_000, 3)
+        pts = uniform_words(55, 0, 20_000 * 3, 3).T
         for row in pts:
             x, y, z = map(float, row)
             cyclic = is_cyclic_triple((x, y, z)).status is Status.CYCLIC
@@ -133,7 +133,7 @@ class TestRegions:
             hi = 1.0 if y == 0 else min(1.0, (1 - x) / y)
             return lo <= z <= hi
 
-        pts = np.sort(uniform_matrix(77, 0, 50_000, 3), axis=1)
+        pts = np.sort(uniform_words(77, 0, 50_000 * 3, 3).T, axis=1)
         for row in pts:
             x, y, z = map(float, row)
             assert in_region((x, y, z), ordered_cyclic) == middle_form(x, y, z)
