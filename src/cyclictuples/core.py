@@ -123,8 +123,9 @@ _STATUS = {
 _FLOAT_BAND = 2.0**-48
 
 # The near mask of the active ``decide_columns`` call, one flag per row;
-# None outside a call.  A context variable, so ``mc``'s worker threads,
-# which evaluate the same predicates, never see another call's mask.
+# None outside a call.  A context variable, so a caller's threads that run
+# ``mc`` estimates, which evaluate the same predicates, never see another
+# call's mask.
 _near_rows: contextvars.ContextVar = contextvars.ContextVar("near_rows", default=None)
 
 

@@ -4,9 +4,8 @@ Work is partitioned into chunks of contiguous global sample indices, and
 each sample's coordinates come from a fixed slice of the counter-based
 stream, so the estimate is a pure function of (target, samples, seed):
 rerunning, or re-partitioning into a different number of chunks, is
-bit-identical.  Chunks reduce by exact integer counts, and they run on
-at most ``os.cpu_count()`` threads, so the chunk count fixes the result
-and the machine only fixes how many chunks run at once.
+bit-identical.  Chunks reduce by exact integer counts, so the chunk count
+fixes the result and the machine only fixes how many chunks run at once.
 
 For n >= 4 the cyclic region has no exact membership test, so
 ``pn_bracket`` reports a two-sided bracket from ``ntuple.certificates``:
@@ -18,12 +17,17 @@ Each chunk draws its points in the blocks that ``rng.block_buffers``
 sizes, into the buffers it hands out: the calling thread's kept set, the
 one the sampler also draws into, for blocks of up to ``rng.BLOCK_WORDS``
 words (every target at n <= 16), and a set for one chunk otherwise.
-Chunks run on one pool of ``os.cpu_count()`` threads, made at import,
-which starts no thread; a forked child makes a new one.  The pool is kept
-for the life of the process, so its threads and the buffers each of them
-keeps last across calls.  Every predicate reads
-C-contiguous columns: the (dim x points) array that ``rng.uniform_words``
-draws in place.  Block sizes change no result.
+Every predicate reads C-contiguous columns: the (dim x points) array that
+``rng.uniform_words`` draws in place.  Block sizes change no result.
+
+Chunks use no thread.  A (seed, dim) group that draws fewer than
+``FORK_WORDS`` words runs its chunks in order on the calling thread.  A
+larger one is shared among at most ``os.cpu_count()`` processes: this one
+and a child forked for each other share, which sends its counts back
+through a pipe and exits.  Forking only happens while the process runs
+no other Python thread; otherwise the group runs serially.  If a child
+fails, is killed or sends a short reply the estimate raises, and on any
+error every child is killed and reaped.
 
 ``estimate_many`` draws each stream once for many estimates: the specs
 of one (seed, dim) read the same stream, so its blocks are drawn up to the
@@ -41,7 +45,11 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
+import threading
+import traceback
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +58,11 @@ from . import ntuple, rng, triple
 from .core import DensityGrid, MCEstimate
 from .triple import sample_ordered_cyclic
 
-MAX_CHUNKS = 1024  # each chunk is one task and one (start, stop) pair
+MAX_CHUNKS = 1024  # each chunk is one (start, stop) pair and one _count_chunk call
+# Words drawn (samples x dim) from which a group's chunks are shared among
+# forked processes; fork and copy-on-write faults cost more than they save
+# below it (measured in CHANGES.md), and every benchmark group is below it.
+FORK_WORDS = 1 << 23
 MAX_BINS = 10**6
 MAX_SAMPLES = 10**11  # p3 at 10^11 samples takes about an hour on two cores
 _COLUMNS = {"f1": 0, "f2": 1, "f3": 2}  # histogram's density -> sample column
@@ -119,17 +131,63 @@ def _count_chunk(specs: list[EstimatorSpec], start: int, stop: int) -> list[np.n
     return hits
 
 
-def _new_pool() -> None:
-    """Make the process's pool of ``os.cpu_count()`` threads: at import,
-    where it starts no thread, and in a forked child, which has none of the
-    parent's."""
-    global _pool
-    _pool = ThreadPoolExecutor(max_workers=os.cpu_count() or 1)
+def _spawn(group: list[EstimatorSpec], share: list[tuple[int, int]]):
+    """Fork a child that counts ``share`` with ``_count_chunk``, sends the
+    pickled list of its counts through a pipe and exits: (pid, the pipe's
+    read end)."""
+    read, write = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ counts OS threads, numpy's BLAS thread among them;
+            # no other Python thread runs here (see estimate_many)
+            warnings.filterwarnings("ignore", r".*fork\(\) may lead to deadlocks", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            with open(write, "wb") as pipe:
+                pipe.write(pickle.dumps([_count_chunk(group, *r) for r in share]))
+            code = 0
+        except Exception:
+            traceback.print_exc()
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, open(read, "rb")
 
 
-_new_pool()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_pool)
+def _count_forked(group: list[EstimatorSpec], shares: list[list[tuple[int, int]]]) -> list:
+    """The counts of every chunk of ``shares``, in order: the first share
+    counted here, each other one in a forked child."""
+    children = {}  # pid -> the read end of its pipe, until the child is reaped
+    try:
+        for share in shares[1:]:
+            pid, pipe = _spawn(group, share)
+            children[pid] = pipe
+        results = [_count_chunk(group, *r) for r in shares[0]]
+        for pid in list(children):
+            with children[pid] as pipe:
+                reply = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with {code}"
+                raise RuntimeError(f"Monte Carlo worker {pid} {how}")
+            try:
+                results += pickle.loads(reply)
+            except (pickle.UnpicklingError, EOFError) as exc:
+                short = f"Monte Carlo worker {pid} sent a short reply ({len(reply)} bytes)"
+                raise RuntimeError(short) from exc
+        return results
+    finally:
+        for pid, pipe in children.items():  # left only by an error
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _bernoulli(p_hat: float, spec: EstimatorSpec) -> MCEstimate:
@@ -166,8 +224,15 @@ def estimate_many(specs) -> list[MCEstimate | dict[str, MCEstimate]]:
         # no chunk is left empty, so the first holds sample 0 of every spec
         chunks = min(max(spec.chunks for spec in group), samples)
         ranges = [(c * samples // chunks, (c + 1) * samples // chunks) for c in range(chunks)]
-        # one chunk runs on the calling thread, in the buffers it keeps
-        results = list((_pool.map if chunks > 1 else map)(lambda r: _count_chunk(group, *r), ranges))
+        procs = min(os.cpu_count() or 1, chunks)
+        # a fork copies only the calling thread: with another thread running,
+        # the child could find a lock held forever
+        can_fork = hasattr(os, "fork") and threading.active_count() == 1
+        if procs > 1 and samples * group[0].dim >= FORK_WORDS and can_fork:
+            shares = [ranges[p * chunks // procs : (p + 1) * chunks // procs] for p in range(procs)]
+            results = _count_forked(group, shares)
+        else:  # on the calling thread, in the buffers it keeps
+            results = [_count_chunk(group, *r) for r in ranges]
         for spec, hits in zip(group, zip(*results)):
             counts[spec] = sum(hits).tolist()
     return [_result(spec, counts[spec]) for spec in specs]

@@ -16,10 +16,12 @@ place: the counters, the mixing and the conversion to floats all write
 into the float64 block of a ``BlockBuffers``, which also keeps the
 per-point counter offsets.  Each thread keeps one set, shared by ``mc``
 and the sampler across calls, for blocks of up to ``BLOCK_WORDS`` words.
-``mc``'s worker threads last for the life of the process, so their sets
-do too.  Larger blocks (more than 16 words a point) get a fresh set, and
-without ``out`` each ``uniform_words`` call gets fresh ones.  The mixing's
-one uint64 scratch array is allocated per draw.  After the first draw
+``mc`` starts no thread: its chunks run on the caller's thread, in its
+set, or in forked children, each in its copy of it; a caller that runs
+estimates on threads of its own gets one set per thread.  Larger blocks
+(more than 16 words a point) get a fresh set, and without ``out`` each
+``uniform_words`` call gets fresh ones.  The mixing's one uint64 scratch
+array is allocated per draw.  After the first draw
 malloc serves it from its free list, and freeing it keeps glibc's dynamic
 mmap and trim thresholds above the block-sized temporaries of the region
 predicates: with a kept scratch array those temporaries were mapped or

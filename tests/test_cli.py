@@ -511,8 +511,7 @@ def test_caps_exit_two(capsys, argv):
 
 
 # Each subcommand's numeric flags, with arguments that keep a valid run small
-# and single-threaded.  Every fuzzed report value is rejected before it runs;
-# report's --seed is left out, since a valid report starts worker threads.
+# and single-threaded.
 FUZZ_FLAGS = [
     (["estimate", "--target", "p3", "--samples", "1000"], "--samples", "1.1e11"),
     (["estimate", "--target", "p3", "--samples", "1000"], "--seed", None),
@@ -524,6 +523,7 @@ FUZZ_FLAGS = [
     (["density", "--which", "f1"], "--grid", "1000001"),
     (["report", "--samples-scale", "0.001"], "--samples-scale", "100.00001"),
     (["report", "--samples-scale", "0.001"], "--chunks", "1025"),
+    (["report", "--samples-scale", "0.001"], "--seed", None),
     (["bounds"], "--n", "1025"),
     (["witness", "--tuple", "0.6,0.5,0.3,0.4"], "--index", None),
 ]

@@ -1,9 +1,11 @@
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from fractions import Fraction
 
@@ -78,16 +80,23 @@ class TestDeterminism:
                     spec = EstimatorSpec(target=target, samples=samples, seed=seed, chunks=chunks, n=n)
                     assert _ends(estimate(spec)) == _ends(base), (samples, seed, chunks)
 
-    def test_workers_capped_at_cpu_count(self, monkeypatch, fresh_pool):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        mc._new_pool()
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        # a group at FORK_WORDS is shared among at most cpus processes: this
+        # one counts the first share of the chunks, a forked child each other
         base = estimate(EstimatorSpec(target="p3", samples=10_001, seed=3, chunks=1))
-        idents = record_chunk_threads(monkeypatch)
-        for _ in range(3):
-            again = estimate(EstimatorSpec(target="p3", samples=10_001, seed=3, chunks=7))
-            assert again.estimate == base.estimate
-        assert len(idents) == 21 and len({ident for ident, _, _ in idents}) <= 2
-        assert len(mc._pool._threads) <= 2
+        monkeypatch.setattr(mc, "FORK_WORDS", 3 * 10_001)
+        pids = record_forks(monkeypatch)
+        seen = record_chunk_threads(monkeypatch)
+        for cpus, chunks, forks, here in [(2, 7, 1, 3), (4, 3, 2, 1), (1, 7, 0, 7), (4, 1, 0, 1)]:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            pids.clear()
+            seen.clear()
+            for _ in range(3):
+                again = estimate(EstimatorSpec(target="p3", samples=10_001, seed=3, chunks=chunks))
+                assert (again.estimate, again.stderr) == (base.estimate, base.stderr)
+            assert (len(pids), len(seen)) == (3 * forks, 3 * here), cpus
+        assert_no_child()
 
     def test_blocks_capped_in_words(self, monkeypatch):
         words = []
@@ -128,15 +137,25 @@ class TestDeterminism:
         assert a.estimate != b.estimate
 
 
-@pytest.fixture
-def fresh_pool():
-    """mc's worker pool put back after the test, which may make its own by
-    ``mc._new_pool()``; a pool the test made is shut down."""
-    kept = mc._pool
-    yield
-    if mc._pool is not kept:
-        mc._pool.shutdown()
-        mc._pool = kept
+def record_forks(monkeypatch) -> list:
+    """A list to which each ``os.fork`` appends the child's pid, in the parent."""
+    pids = []
+    fork = os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return pids
+
+
+def assert_no_child():
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def record_chunk_threads(monkeypatch) -> list:
@@ -244,32 +263,112 @@ class TestKeptBuffers:
         assert 0 < max(kept.block.size, kept.offsets.size) <= rng.BLOCK_WORDS
 
 
-class TestKeptPool:
-    def test_estimates_share_threads_and_their_buffers(self, monkeypatch, fresh_pool):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        mc._new_pool()
+class TestChunkProcesses:
+    def test_small_group_runs_on_callers_thread(self, monkeypatch):
+        # the largest p3 group below FORK_WORDS: seven chunks in order on
+        # this thread, in the buffers it keeps, and no fork and no thread
+        def refused(*args):
+            raise AssertionError("forked or started a thread below FORK_WORDS")
+
+        samples = (mc.FORK_WORDS - 1) // 3
+        want = estimate(EstimatorSpec(target="p3", samples=samples, seed=4))
+        monkeypatch.setattr(os, "fork", refused)
+        monkeypatch.setattr(threading.Thread, "start", refused)
         seen = record_chunk_threads(monkeypatch)
-        calls, threads = [], None
-        for seed in range(3):  # three calls on at most two threads: one thread serves two
-            estimate(EstimatorSpec(target="p3", samples=200_000, seed=seed, chunks=2))
-            threads = threads or set(mc._pool._threads)
-            calls.append({ident for ident, _, _ in seen[-2:]})
-        assert set(mc._pool._threads) == threads and len(threads) <= 2
-        assert set().union(*calls) <= {t.ident for t in threads}
-        assert sum(map(len, calls)) > len(set().union(*calls))
-        kept = {}
-        for ident, buffers, block in seen:
-            first = kept.setdefault(ident, (buffers, block))
-            assert first[0] is buffers and first[1] is block
+        got = estimate(EstimatorSpec(target="p3", samples=samples, seed=4, chunks=7))
+        assert (got.estimate, got.stderr) == (want.estimate, want.stderr)
+        assert len(seen) == 7
+        assert {ident for ident, _, _ in seen} == {threading.get_ident()}
+        assert all(buffers is rng._kept.buffers and block is seen[0][2] for _, buffers, block in seen)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    @pytest.mark.parametrize("used", [False, True], ids=["fork-before-use", "fork-after-use"])
-    def test_forked_child_makes_its_own_pool(self, fresh_pool, used):
-        # the child inherits the pool object but none of its threads; a pool
-        # not yet used has none in the parent either
-        mc._new_pool()
+    def test_no_fork_while_another_thread_runs(self, monkeypatch):
+        # the thread would not exist in a forked child: the group runs here
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(mc, "FORK_WORDS", 1)
+        pids = record_forks(monkeypatch)
+        spec = EstimatorSpec(target="p3", samples=10_001, seed=3, chunks=2)
+        forked = estimate(spec)
+        running = threading.Event()
+        waiting = threading.Thread(target=running.wait)
+        waiting.start()
+        try:
+            assert estimate(spec) == forked
+        finally:
+            running.set()
+            waiting.join(timeout=30)
+        assert not waiting.is_alive() and len(pids) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_fork_warning_ignored(self, monkeypatch):
+        # Python 3.12+ warns on a fork when the process has other OS threads,
+        # as numpy's BLAS thread is; under -W error only that warning is ignored
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn("This process (pid=1) is multi-threaded, use of fork() may lead to "
+                          "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(mc, "FORK_WORDS", 1)
+        want = _ends(estimate(EstimatorSpec(target="p3", samples=10_001, seed=3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _ends(estimate(EstimatorSpec(target="p3", samples=10_001, seed=3, chunks=2))) == want
+        assert_no_child()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.parametrize("fault", ["raises", "killed", "truncated", "empty", "interrupted"])
+    def test_failed_worker_raises_and_every_child_is_reaped(self, monkeypatch, fault):
+        # three processes on 9,999 samples in three chunks: the child counting
+        # chunk 1 fails (or, "interrupted", this process does), the one
+        # counting chunk 2 would sleep for a minute unless it is killed
+        parent, count_chunk = os.getpid(), mc._count_chunk
+
+        def failing(specs, start, stop):
+            if os.getpid() == parent:
+                if fault == "interrupted":
+                    raise KeyboardInterrupt
+            elif start == 6_666:
+                time.sleep(60)
+            elif fault == "raises":
+                raise ValueError("chunk failed")
+            elif fault == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            elif fault == "empty":
+                os._exit(0)
+            return count_chunk(specs, start, stop)
+
+        if fault == "truncated":
+            dumps = pickle.dumps
+            monkeypatch.setattr(pickle, "dumps", lambda obj: dumps(obj)[:-1])
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(mc, "FORK_WORDS", 1)
+        monkeypatch.setattr(mc, "_count_chunk", failing)
+        pids = record_forks(monkeypatch)
+        error = {
+            "raises": "exited with 1",
+            "killed": f"killed by signal {signal.SIGKILL.value}",
+            "truncated": "short reply",
+            "empty": r"short reply \(0 bytes\)",
+        }
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt if fault == "interrupted" else RuntimeError, match=error.get(fault)):
+            estimate(EstimatorSpec(target="p3", samples=9_999, seed=1, chunks=3))
+        assert len(pids) == 2 and time.monotonic() - started < 30
+        assert_no_child()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.parametrize("fork_words", [None, 1], ids=["serial-chunks", "forked-chunks"])
+    def test_forked_child_gets_same_repr(self, monkeypatch, fork_words):
+        # a chunked estimate here, then the same one in a child of this
+        # process, which forks a worker of its own at fork_words 1
+        if fork_words:
+            monkeypatch.setattr(mc, "FORK_WORDS", fork_words)
         spec = EstimatorSpec(target="p3", samples=100_000, seed=9, chunks=2)
-        want = repr(estimate(spec)) if used else None
+        want = repr(estimate(spec))
         read, write = os.pipe()
         with warnings.catch_warnings():
             # Python 3.12+ warns about forking a process that has threads
@@ -279,7 +378,7 @@ class TestKeptPool:
             code = 1
             try:
                 os.close(read)
-                signal.alarm(30)  # a child left waiting on the parent's pool dies
+                signal.alarm(30)  # a child left waiting dies
                 os.write(write, repr(estimate(spec)).encode())
                 code = 0
             finally:
@@ -289,22 +388,31 @@ class TestKeptPool:
             got = pipe.read().decode()
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
-        assert got == (want or repr(estimate(spec)))
+        assert got == want
+        assert_no_child()
 
     def test_import_starts_no_thread(self):
-        # the pool starts its threads on the first chunked estimate, and
-        # nothing else does: not one chunk, and not check, witness or exact
+        # importing makes no thread, no child and no executor, and neither
+        # do one chunk, two chunks below FORK_WORDS, check, witness or exact
         code = (
-            "import contextlib, io, threading\n"
+            "import contextlib, io, os, sys, threading\n"
             "import cyclictuples\n"
             "from cyclictuples import cli, mc\n"
-            "assert threading.active_count() == 1\n"
-            "mc.estimate(mc.EstimatorSpec(target='p3', samples=10_000, seed=1))\n"
+            "def childless():\n"
+            "    try:\n"
+            "        os.waitpid(-1, os.WNOHANG)\n"
+            "    except ChildProcessError:\n"
+            "        return True\n"
+            "assert threading.active_count() == 1 and childless()\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "for chunks in (1, 2):\n"
+            "    mc.estimate(mc.EstimatorSpec(target='p3', samples=10_000, seed=1, chunks=chunks))\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    for cmd in ('check', 'witness'):\n"
             "        cli.main([cmd, '--tuple', '0.6,0.5,0.3,0.4'])\n"
             "    cli.main(['exact'])\n"
             "assert threading.active_count() == 1, threading.enumerate()\n"
+            "assert childless()\n"
         )
         src = os.path.dirname(os.path.dirname(mc.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
