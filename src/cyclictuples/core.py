@@ -15,9 +15,12 @@ A constant meets the coordinates in the kind ``constant`` gives it.  numpy
 columns are exact under ``decide_columns``: while it runs a predicate,
 ``le``/``lt`` record the rows whose comparison falls inside the band, and
 only those rows are decided again on their exact values.  Outside it,
-columns pass straight through, so ``mc`` and the sampler count float masks.
-Volume and density paths work in ordinary binary floats.  All types here
-are immutable and safe to share across workers.
+columns pass straight through.  ``symbolic.trace`` runs predicates on
+``SymbolicColumn``s, beside which ``constant`` gives a 0-d array, and
+records what they compute as a program of ufunc calls, which ``mc`` and
+the sampler run to count float masks, the same as the predicates give on
+float columns.  Volume and density paths work in ordinary binary floats.
+All types here are immutable and safe to share across workers.
 
 Witness arithmetic runs on integers.  A ``DiscreteDist`` stores its points
 as numerators on one denominator and its weights as numerators on another,
@@ -46,6 +49,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
+
+from .symbolic import SymbolicColumn
 
 Number = Union[int, float, Fraction]
 
@@ -124,8 +129,7 @@ _FLOAT_BAND = 2.0**-48
 
 # The near mask of the active ``decide_columns`` call, one flag per row;
 # None outside a call.  A context variable, so a caller's threads that run
-# ``mc`` estimates, which evaluate the same predicates, never see another
-# call's mask.
+# the same predicates never see another call's mask.
 _near_rows: contextvars.ContextVar = contextvars.ContextVar("near_rows", default=None)
 
 
@@ -164,10 +168,11 @@ def constant(value: float, like):
     coordinate ``like``: a float beside floats, a cached Fraction beside
     Fractions (the exact pass of ``decide_exactly``, where a float side
     would be flagged again), a 0-d array beside numpy columns (a float
-    never meets a column in ``le``/``lt``)."""
+    never meets a column in ``le``/``lt``) and beside symbolic ones, which
+    take its operators."""
     if isinstance(like, Fraction):
         return _fraction(value)
-    if isinstance(like, np.ndarray):
+    if isinstance(like, (np.ndarray, SymbolicColumn)):
         return np.array(value)
     return value
 

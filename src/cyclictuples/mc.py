@@ -17,8 +17,17 @@ Each chunk draws its points in the blocks that ``rng.block_buffers``
 sizes, into the buffers it hands out: the calling thread's kept set, the
 one the sampler also draws into, for blocks of up to ``rng.BLOCK_WORDS``
 words (every target at n <= 16), and a set for one chunk otherwise.
-Every predicate reads C-contiguous columns: the (dim x points) array that
-``rng.uniform_words`` draws in place.  Block sizes change no result.
+Block sizes change no result.
+
+Masks run as traced programs.  ``symbolic.trace`` runs the masks of the
+targets whose specs still have samples in a block once, on symbolic
+columns, and records one straight-line program of ufunc calls: an
+expression that two targets share, such as ``p3_star``'s ``cyclic`` or
+the adjacent sums of ``d_star`` and ``certificates``, is computed once.
+The program runs with out= in the workspace of the buffers the block was
+drawn into (``BlockBuffers.run``), so a block allocates no array, and
+each mask is the one the predicate computes on float columns, bit for
+bit.  Programs are traced at first use, one per (live targets, dim).
 
 Chunks use no thread.  A (seed, dim) group that draws fewer than
 ``FORK_WORDS`` words runs its chunks in order on the calling thread.  A
@@ -35,7 +44,8 @@ longest sample count among them and each spec counts its masks on the
 rows below its own.  ``estimate`` is its one-spec case.
 
 No region is written here.  ``TARGETS`` maps each target to the masks it
-counts on the columns of a block of points: one predicate from ``triple``
+counts on the columns of a block of points, traced into its programs:
+one predicate from ``triple``
 (``cyclic``, ``nontransitive``, ``c3_i``, ``c3_ii``, ``ordered_cyclic``) or
 ``ntuple`` (``d_star``), or, for the bracket, the pair that
 ``ntuple.certificates`` gives; the same functions decide single tuples.
@@ -54,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ntuple, rng, triple
+from . import ntuple, rng, symbolic, triple
 from .core import DensityGrid, MCEstimate
 from .triple import sample_ordered_cyclic
 
@@ -118,16 +128,21 @@ class EstimatorSpec:
 def _count_chunk(specs: list[EstimatorSpec], start: int, stop: int) -> list[np.ndarray | int]:
     """For each of ``specs``, all of one seed and dim, how many of the
     samples start..stop-1 below its own sample count each of its target's
-    masks holds for: an array of counts, or 0 when it has no such sample."""
+    masks holds for: an array of counts, or 0 when it has no such sample.
+    Each block runs one program, traced from the targets of the specs that
+    still have samples in it."""
     seed, dim = specs[0].seed, specs[0].dim
     rows, buffers = rng.block_buffers(dim)
     hits = [0] * len(specs)
     for pos in range(start, stop, rows):
-        cols = rng.uniform_words(seed, pos * dim, min(rows, stop - pos) * dim, dim, out=buffers)
-        for i, spec in enumerate(specs):
-            if pos < spec.samples:
-                masks = TARGETS[spec.target][1](*cols[:, : spec.samples - pos])
-                hits[i] = hits[i] + np.array([np.count_nonzero(m) for m in masks])
+        live = [i for i, spec in enumerate(specs) if pos < spec.samples]
+        targets = tuple(dict.fromkeys(specs[i].target for i in live))
+        program = symbolic.trace(tuple(TARGETS[t][1] for t in targets), dim)
+        rng.uniform_words(seed, pos * dim, min(rows, stop - pos) * dim, dim, out=buffers)
+        masks = dict(zip(targets, buffers.run(program)))
+        for i in live:
+            end = specs[i].samples - pos
+            hits[i] = hits[i] + np.array([np.count_nonzero(m[:end]) for m in masks[specs[i].target]])
     return hits
 
 

@@ -15,8 +15,9 @@ sum or with pi_n going through ``core.le``/``core.lt``, and pi_n taking the
 kind of the coordinates from ``core.constant``.  So
 ``core.in_region`` and ``decide_ntuple`` decide them on exact scalar
 values, ``core.decide_columns`` decides them exactly on numpy columns
-(``checks.symmetry``), and ``mc`` counts their float masks on numpy columns
-(``pn_bracket`` counts ``certificates``).
+(``checks.symmetry``), and ``mc`` counts their float masks with the
+programs ``symbolic.trace`` records from them (``pn_bracket`` counts
+``certificates``).
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ Each region is written once, here, as a predicate of (x, y, z): ``cyclic``
 (from ``trybula``), ``nontransitive``, ``c3_i``, ``c3_ii`` and
 ``ordered_cyclic``.  They use only + - * and comparisons joined by & and |,
 so one function decides Fraction scalars exactly, float scalars in
-``is_cyclic_triple`` and ``in_region``, and numpy columns in the sampler
-and in ``mc``.
+``is_cyclic_triple`` and ``in_region``, and numpy columns, and
+``symbolic.trace`` records it as the program that the sampler and ``mc`` run.
 
 The criterion is invariant under all six permutations of (x, y, z), so the
 sampler sorts each uniform cube point and then accepts it if it is cyclic:
@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import rng
+from . import rng, symbolic
 from .core import (
     InvalidTupleError,
     Number,
@@ -273,16 +273,18 @@ def unrestricted_min_stats() -> dict[str, float]:
     return {"mean": 0.25, "median": 1.0 - 2.0 ** (-1.0 / 3.0)}
 
 
-def _sort_rows(cols: np.ndarray) -> None:
+def _sort_rows(cols: np.ndarray, lo: np.ndarray) -> None:
     """Sort each point of a 3 x N array of columns in place, so that
     ``cols[0] <= cols[1] <= cols[2]``, with an exact min/max network (no
-    arithmetic, so every value is kept bit for bit)."""
+    arithmetic, so every value is kept bit for bit); ``lo`` is an N-float
+    scratch column."""
     a, b, c = cols
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    np.minimum(hi, c, out=b)
-    np.maximum(lo, b, out=b)
+    np.minimum(a, b, out=lo)
+    np.maximum(a, b, out=b)  # hi
     np.minimum(lo, c, out=a)
-    np.maximum(hi, c, out=c)
+    np.maximum(lo, c, out=lo)
+    np.maximum(b, c, out=c)
+    np.minimum(b, lo, out=b)  # the middle one, min(hi, max(lo, c))
 
 
 def sample_ordered_cyclic(count: int, seed: int) -> np.ndarray:
@@ -298,7 +300,8 @@ def sample_ordered_cyclic(count: int, seed: int) -> np.ndarray:
     The output is the first ``count`` accepted rows of the seed's stream,
     in stream order: deterministic for fixed (count, seed).  The rows are
     drawn in the blocks that ``rng.block_buffers`` sizes, at most 16,384
-    rows into the thread's kept buffers, as three C-contiguous columns.
+    rows into the thread's kept buffers, as three C-contiguous columns;
+    the sort and the ``ordered_cyclic`` program run in their workspace.
     The accepted rows of a block are gathered one column at a time, by
     their indices, into a column of the output: gathering whole rows from
     the transposed block is about as slow as drawing it.  ``count`` is at
@@ -318,8 +321,9 @@ def sample_ordered_cyclic(count: int, seed: int) -> np.ndarray:
         rows = min(block_rows, int((need + 4.0 * math.sqrt(need) + 8.0) / P3))
         cols = rng.uniform_words(seed, word, rows * 3, 3, out=buffers)
         word += rows * 3
-        _sort_rows(cols)
-        keep = np.flatnonzero(ordered_cyclic(*cols))[:need]
+        _sort_rows(cols, *buffers.slots([np.float64]))
+        ((mask,),) = buffers.run(symbolic.trace((ordered_cyclic,), 3))
+        keep = np.flatnonzero(mask)[:need]
         for j in range(3):
             np.take(cols[j], keep, out=out[have : have + len(keep), j])
         have += len(keep)

@@ -226,9 +226,10 @@ def test_columns_decide_near_tie_ntuples_exactly(n, complemented):
 
 
 def test_near_mask_belongs_to_its_call():
-    # mc evaluates the same predicates on worker threads, so the near mask
-    # is per call: concurrent calls on threads, switching often, each get
-    # their own rows' verdicts, and a thread outside any call sees no mask.
+    # A caller may run the same predicates on threads of its own, so the
+    # near mask is per call: concurrent calls on threads, switching often,
+    # each get their own rows' verdicts, and a thread outside any call sees
+    # no mask.
     values = [_boundary_rows(count, count) for count in (300, 301, 302, 303)]
     alone = [_decide_columns(triple.cyclic, v, False)[0].tolist() for v in values]
     interval = sys.getswitchinterval()

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats as scistats
 
-from cyclictuples import mc, ntuple, rng
+from cyclictuples import mc, ntuple, rng, symbolic
 from cyclictuples.mc import EstimatorSpec, estimate, histogram
 from cyclictuples.ntuple import MAX_N, pn_bounds, vol_dn_star
 from cyclictuples.triple import OMEGA, P3, P3_STAR, VOL_C3_I, VOL_C3_II, density, sample_ordered_cyclic
@@ -215,15 +215,26 @@ class TestKeptBuffers:
             sys.setswitchinterval(interval)
         assert got == want
 
+    # The workspace holds a draw's uint64 scratch, one block's bytes, or the
+    # slots of a program.  The largest program a kept set runs, every
+    # target of dim 3 in one group, needs 2.42 blocks' bytes.
+    WORKSPACE_BYTES = 3 * rng.BLOCK_WORDS * 8
+
     def test_thread_keeps_at_most_block_words(self):
         def kept_sizes():
             estimate(EstimatorSpec(target="p3", samples=100_000, seed=1))
+            triple_targets = [t for t, (low, _) in mc.TARGETS.items() if low is None]
+            mc.estimate_many([EstimatorSpec(t, 50_000, 2) for t in triple_targets]
+                             + [EstimatorSpec("vol_Dn_star", 50_000, 2, n=3)])
+            for n in (7, 16):
+                estimate(EstimatorSpec(target="pn_bracket", samples=20_000, seed=1, n=n))
             estimate(EstimatorSpec(target="pn_bracket", samples=4_000, seed=1, n=1024))
             b = rng._kept.buffers
-            return [a.size for a in (b.block, b.offsets)]
+            return [a.size for a in (b.block, b.offsets)], b.workspace.nbytes
 
-        sizes = in_new_thread(kept_sizes)
+        sizes, workspace = in_new_thread(kept_sizes)
         assert 0 < max(sizes) <= rng.BLOCK_WORDS
+        assert rng.BLOCK_WORDS * 8 < workspace <= self.WORKSPACE_BYTES
 
     def test_second_estimate_reuses_buffers(self):
         def reused():
@@ -527,6 +538,7 @@ class TestBrackets:
         # the loose bounds still hold, the exact upper end does not.
         shifted = lambda n: ntuple.pi_n(n) - 0.01  # noqa: E731
         monkeypatch.setattr(ntuple, "_pi_n_upper", shifted)
+        symbolic.trace.cache_clear()  # the shifted threshold reaches mc's masks once they are traced again
         n = 4
         res = estimate(EstimatorSpec(target="pn_bracket", samples=1_000_000, seed=41, n=n))
         lo, up = res["lower"], res["upper"]
