@@ -124,7 +124,8 @@ _STATUS = {
 # in exact arithmetic.  This covers a predicate that complements its columns
 # under ``decide_columns``: fl(1 - x) stands for 1 - x, a coordinate rounded
 # once, off by at most u/2, and 1 - fl(1 - x) is exact (Sterbenz).  A test
-# in tests/test_exactness.py traces each predicate to check these shapes.
+# in tests/test_exactness.py walks each predicate's ``symbolic.trace``
+# program forward to check these shapes and intervals.
 _FLOAT_BAND = 2.0**-48
 
 # The near mask of the active ``decide_columns`` call, one flag per row;

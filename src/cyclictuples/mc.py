@@ -4,8 +4,9 @@ Work is partitioned into chunks of contiguous global sample indices, and
 each sample's coordinates come from a fixed slice of the counter-based
 stream, so the estimate is a pure function of (target, samples, seed):
 rerunning, or re-partitioning into a different number of chunks, is
-bit-identical.  Chunks reduce by exact integer counts, so the chunk count
-fixes the result and the machine only fixes how many chunks run at once.
+bit-identical.  Chunks reduce by exact integer counts, so no result
+depends on the chunk count: ``chunks`` only caps how many processes share
+a (seed, dim) stream of at least ``FORK_WORDS`` words.
 
 For n >= 4 the cyclic region has no exact membership test, so
 ``pn_bracket`` reports a two-sided bracket from ``ntuple.certificates``:
@@ -78,20 +79,16 @@ MAX_SAMPLES = 10**11  # p3 at 10^11 samples takes about an hour on two cores
 _COLUMNS = {"f1": 0, "f2": 1, "f3": 2}  # histogram's density -> sample column
 
 
-def _alone(mask):
-    return lambda *cols: (mask(*cols),)
-
-
-# name -> (smallest n, or None for a triple quantity; the tuple of masks
-# counted on a block's columns).  One mask is a volume; the bracket's two
-# are the provably cyclic and the provably not cyclic samples.
+# name -> (smallest n, or None for a triple quantity; the predicate whose
+# masks are counted on a block's columns).  One mask is a volume; the
+# bracket's two are the provably cyclic and the provably not cyclic samples.
 TARGETS = {
-    "p3": (None, _alone(triple.cyclic)),
-    "p3_star": (None, _alone(triple.nontransitive)),
-    "vol_C3_I": (None, _alone(triple.c3_i)),
-    "vol_C3_II": (None, _alone(triple.c3_ii)),
-    "vol_C3_ordered": (None, _alone(triple.ordered_cyclic)),
-    "vol_Dn_star": (3, _alone(ntuple.d_star)),
+    "p3": (None, triple.cyclic),
+    "p3_star": (None, triple.nontransitive),
+    "vol_C3_I": (None, triple.c3_i),
+    "vol_C3_II": (None, triple.c3_ii),
+    "vol_C3_ordered": (None, triple.ordered_cyclic),
+    "vol_Dn_star": (3, ntuple.d_star),
     "pn_bracket": (4, ntuple.certificates),
 }
 

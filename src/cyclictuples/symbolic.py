@@ -27,7 +27,7 @@ def _record(ufunc, reflected=False):
 
 class SymbolicColumn:
     """A column that a region predicate computes while ``trace`` runs it:
-    each operator the predicates use (+ - * & |, the comparisons, abs)
+    each operator the predicates use (+ - * & | and the comparisons)
     records the ufunc that numpy would call for it and returns the column
     it computes.  ``__array_ufunc__ = None`` hands the operators of a 0-d
     array constant (``core.constant``) to the column.  A truth test raises
@@ -48,9 +48,6 @@ class SymbolicColumn:
     # ``1 < s`` reaches ``s.__gt__(1)``, as it reaches ndarray.__gt__
     __lt__, __le__ = _record(np.less), _record(np.less_equal)
     __gt__, __ge__ = _record(np.greater), _record(np.greater_equal)
-
-    def __abs__(self):
-        return self._tracer.record(np.absolute, (self,))
 
     def __bool__(self):
         raise TypeError("a traced column has no truth value: the predicate branches on its data")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclictuples import checks, core, mc, ntuple, triple
+from cyclictuples import checks, core, mc, ntuple, symbolic, triple
 from cyclictuples.core import Status, as_tuple, complement, decide_columns, decide_exactly, in_region, le
 from cyclictuples.ntuple import decide_ntuple
 from cyclictuples.triple import is_cyclic_triple
@@ -247,126 +247,95 @@ def test_near_mask_belongs_to_its_call():
 # The proof of core._FLOAT_BAND assumes that every side of a comparison in
 # le/lt is a constant or a sum of at most two terms, each term a factor (a
 # coordinate x or its complement 1 - x) or a product of two factors, with
-# every intermediate value in [0, 2].  Run each predicate on symbolic
-# coordinates that carry their shape and an interval holding their value.
+# every intermediate value in [0, 2].  Walk each predicate's traced program
+# forward, keeping for each view its shape and an interval that holds its
+# value: a shape is a tuple of terms, a term a tuple of factors (j, c) for
+# x_j, or 1 - x_j when c is True; a constant has the shape ().  Step k of a
+# program computes node inputs + k.
+
+_COMPARISONS = (np.less, np.less_equal, np.greater, np.greater_equal)
 
 
-class _Traced:
-    """A value computed from symbolic coordinates in [0, 1]: ``terms`` is
-    its shape as a sum of products of factors, each factor "x3" or "1-x3",
-    or None once it has no such shape; [lo, hi] holds the value."""
+def _operand(views, a):
+    """(shape, lo, hi) of the view a, or of a constant in a 1-tuple."""
+    if type(a) is not int:
+        return (), float(a[0]), float(a[0])
+    assert views[a] is not None, "a mask read as a number"
+    return views[a]
 
-    def __init__(self, terms, lo, hi):
-        assert 0 <= lo <= hi <= 2, f"an intermediate value in [{lo}, {hi}] leaves [0, 2]"
-        self.terms, self.lo, self.hi = terms, lo, hi
 
-    def factor(self):
-        """The one factor this value is, or None."""
-        return self.terms[0][0] if self.terms and len(self.terms) == len(self.terms[0]) == 1 else None
-
-    def __add__(self, other):
-        (t, lo, hi), (u, olo, ohi) = _parts(self), _parts(other)
-        return _Traced(t + u if t and u else None, lo + olo, hi + ohi)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        _, olo, ohi = _parts(other)
-        return _Traced(None, self.lo - ohi, self.hi - olo)
-
-    def __rsub__(self, other):
+def _arithmetic(ufunc, a, b):
+    """(shape, lo, hi) of ufunc on operands a and b; the shape is None once
+    the value is not a sum of at most 2 products of at most 2 factors."""
+    (s, lo, hi), (t, olo, ohi) = a, b
+    if ufunc is np.add:
+        return (s + t if s and t and len(s + t) <= 2 else None), lo + olo, hi + ohi
+    if ufunc is np.subtract:
         # 1 - x complements a factor; 1 - fl(1 - x) is x, exactly (Sterbenz)
-        f = self.factor() if other == 1 else None
-        terms = None if f is None else (((f[2:] if f.startswith("1-") else "1-" + f),),)
-        return _Traced(terms, other - self.hi, other - self.lo)
-
-    def __mul__(self, other):
-        (t, lo, hi), (u, olo, ohi) = _parts(self), _parts(other)
-        ends = [lo * olo, lo * ohi, hi * olo, hi * ohi]
-        single = t and u and len(t) == len(u) == 1
-        return _Traced((t[0] + u[0],) if single else None, min(ends), max(ends))
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        raise TypeError("truth test on a traced value")
-
-    def _compare(self, other):
-        # outside le/lt only stored values are compared, which is exact
-        for side in (self, other):
-            if isinstance(side, _Traced):
-                assert (side.factor() or "").startswith("x"), f"{side.terms} compared outside le/lt"
-        return _Cond()
-
-    __lt__ = __le__ = __gt__ = __ge__ = _compare
+        single = s == () and lo == 1 and t and len(t) == len(t[0]) == 1
+        return ((((t[0][0][0], not t[0][0][1]),),) if single else None), lo - ohi, hi - olo
+    assert ufunc is np.multiply, f"{ufunc.__name__} is outside the band proof"
+    ends = [lo * olo, lo * ohi, hi * olo, hi * ohi]
+    single = s and t and len(s) == len(t) == 1 and len(s[0] + t[0]) <= 2
+    return ((s[0] + t[0],) if single else None), min(ends), max(ends)
 
 
-def _parts(v):
-    """(terms, lo, hi) of a traced value or of a constant."""
-    return (v.terms, v.lo, v.hi) if isinstance(v, _Traced) else (None, v, v)
-
-
-class _Cond:
-    """The result of a traced comparison, joined by & and |."""
-
-    def _join(self, other):
-        return _Cond()
-
-    __and__ = __rand__ = __or__ = __ror__ = _join
-
-    def __bool__(self):
-        raise TypeError("truth test on a traced comparison")
-
-
-def _traced_compare(a, b):
-    for side in (a, b):
-        if isinstance(side, _Traced):
-            terms = side.terms
-            assert terms and len(terms) <= 2 and all(len(term) <= 2 for term in terms), (
-                f"a compared side of shape {terms} is outside the band proof"
-            )
+def _walk(program, compared):
+    """Check every step of ``program`` against the band proof; ``compared``
+    holds the nodes that le/lt returned.  A mask's view holds None."""
+    views = [((((j, False),),), 0.0, 1.0) for j in range(program.inputs)] + [None] * len(program.slots)
+    for k, (ufunc, args, out) in enumerate(program.steps):
+        if ufunc in (np.bitwise_and, np.bitwise_or):
+            # seeded joins: a column never meets a Python bool
+            assert all(type(a) is int and views[a] is None for a in args), f"step {k} joins a constant"
+            views[out] = None
+            continue
+        a, b = (_operand(views, a) for a in args)
+        if ufunc in _COMPARISONS:
+            for shape, _, _ in (a, b):
+                if program.inputs + k in compared:
+                    assert shape is not None, f"step {k}: le/lt compares a side outside the band proof"
+                else:  # outside le/lt only stored values are compared, which is exact
+                    assert shape == () or (shape and len(shape) == len(shape[0]) == 1 and not shape[0][0][1]), (
+                        f"step {k} compares {shape} outside le/lt"
+                    )
+            views[out] = None
         else:
-            assert isinstance(side, (int, float)), side
-    _traced_compare.calls += 1
-    return _Cond()
+            views[out] = _arithmetic(ufunc, a, b)
+            _, lo, hi = views[out]
+            assert 0 <= lo <= hi <= 2, f"step {k}: an intermediate value in [{lo}, {hi}] leaves [0, 2]"
+
+
+def _collecting(compare, nodes):
+    """``compare`` that adds the node of each column it returns to ``nodes``."""
+
+    def collected(a, b):
+        mask = compare(a, b)
+        nodes.add(mask.node)
+        return mask
+
+    return collected
 
 
 BAND_CASES = (
     [
-        (f"mc.{name}", masks, n)
-        for name, (low, masks) in mc.TARGETS.items()
-        for n in ([3] if low is None else range(max(low, 4), 9))
+        (f"mc.{name}", fn, n)
+        for name, (low, fn) in mc.TARGETS.items()
+        for n in ([3] if low is None else range(low, 9))
     ]
     + [("complemented triple.cyclic", checks._complemented(triple.cyclic), 3)]
     + [("complemented certificates", checks._complemented(ntuple.certificates), n) for n in range(4, 9)]
     + [("triple.trybula", triple.trybula, 3)]
-    + [(f"ntuple.{fn.__name__}", fn, n) for fn in (ntuple.d_i, ntuple.d_ii) for n in range(4, 9)]
+    + [(f"ntuple.{fn.__name__}", fn, n) for fn in (ntuple.d_i, ntuple.d_ii) for n in range(3, 9)]
 )
 
 
-@pytest.fixture
-def traced(monkeypatch):
-    """le/lt of triple and ntuple, which import them by name, replaced by
-    _traced_compare; gives the n symbolic coordinates of an n-tuple."""
-    for module in (triple, ntuple):
-        monkeypatch.setattr(module, "le", _traced_compare)
-        monkeypatch.setattr(module, "lt", _traced_compare)
-    _traced_compare.calls = 0
-    return lambda n: [_Traced(((f"x{j}",),), 0.0, 1.0) for j in range(n)]
-
-
 @pytest.mark.parametrize("name, fn, n", BAND_CASES, ids=[f"{name}-{n}" for name, _, n in BAND_CASES])
-def test_compared_sides_have_the_band_proofs_shape(traced, name, fn, n):
-    result = fn(*traced(n))
-    for part in result if isinstance(result, tuple) else (result,):
-        assert isinstance(part, _Cond)
-    assert _traced_compare.calls > 0
-
-
-def test_truth_test_on_a_traced_value_raises(traced):
-    x, y = traced(2)
-    for value in (x, x + y, 1 - x, x * y, triple.le(x, 1), x <= y):
-        with pytest.raises(TypeError):
-            bool(value)
-    with pytest.raises(TypeError):
-        ntuple._updown_index(*traced(4))  # branches on a comparison
+def test_compared_sides_have_the_band_proofs_shape(monkeypatch, name, fn, n):
+    compared = set()
+    for module in (triple, ntuple):  # each imports le and lt by name
+        for compare in ("le", "lt"):
+            monkeypatch.setattr(module, compare, _collecting(getattr(module, compare), compared))
+    program = symbolic.trace.__wrapped__((fn,), n)
+    assert compared
+    _walk(program, compared)

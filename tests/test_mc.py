@@ -98,38 +98,22 @@ class TestDeterminism:
             assert (len(pids), len(seen)) == (3 * forks, 3 * here), cpus
         assert_no_child()
 
-    def test_blocks_capped_in_words(self, monkeypatch):
-        words = []
-        draw = rng.uniform_words
-
-        def recording(seed, start, count, dim=None, **kwargs):
-            words.append(count)
-            return draw(seed, start, count, dim, **kwargs)
-
-        monkeypatch.setattr(rng, "uniform_words", recording)
+    def test_blocks_capped_in_words(self, record_words):
         for target in ("vol_Dn_star", "pn_bracket"):
             estimate(EstimatorSpec(target=target, samples=4_000, seed=1, n=MAX_N))
-        assert len(words) == 4 and sum(words) == 2 * 4_000 * MAX_N
-        assert max(words) <= 3 << 20
+        assert len(record_words) == 4 and sum(record_words) == 2 * 4_000 * MAX_N
+        assert max(record_words) <= 3 << 20
 
-    def test_every_target_draws_samples_times_dim_words(self, monkeypatch):
-        words = []
-        draw = rng.uniform_words
-
-        def recording(seed, start, count, dim=None, **kwargs):
-            words.append(count)
-            return draw(seed, start, count, dim, **kwargs)
-
-        monkeypatch.setattr(rng, "uniform_words", recording)
+    def test_every_target_draws_samples_times_dim_words(self, record_words):
         samples = 3 * rng.BLOCK_WORDS // 2 + 1  # more than one block at every dim
         for target, n in [(t, None) for t, (low, _) in mc.TARGETS.items() if low is None] + [
             ("vol_Dn_star", 3), ("vol_Dn_star", 7), ("pn_bracket", 4), ("pn_bracket", 40)
         ]:
             for chunks in (1, 3):
-                words.clear()
+                record_words.clear()
                 estimate(EstimatorSpec(target=target, samples=samples, seed=2, chunks=chunks, n=n))
-                assert sum(words) == samples * (n or 3), (target, n, chunks)
-                assert len(words) > chunks
+                assert sum(record_words) == samples * (n or 3), (target, n, chunks)
+                assert len(record_words) > chunks
 
     def test_seed_changes_result(self):
         a = estimate(EstimatorSpec(target="p3", samples=100_000, seed=1))
@@ -433,47 +417,65 @@ class TestChunkProcesses:
 
 
 class TestEstimateMany:
-    @pytest.mark.parametrize(
-        "specs",
-        [
-            [  # one seed at several dims, and another seed
-                EstimatorSpec(target="p3", samples=30_000, seed=4, chunks=2),
-                EstimatorSpec(target="vol_Dn_star", samples=20_000, seed=4, n=4),
-                EstimatorSpec(target="vol_Dn_star", samples=25_000, seed=4, chunks=3, n=7),
-                EstimatorSpec(target="pn_bracket", samples=10_000, seed=4, n=5),
-                EstimatorSpec(target="vol_Dn_star", samples=20_000, seed=5, n=4),
-            ],
-            [  # one (seed, dim): 1 sample, less than a block, several blocks
-                EstimatorSpec(target="p3", samples=1, seed=5),
-                EstimatorSpec(target="p3_star", samples=5_000, seed=5, chunks=3),
-                EstimatorSpec(target="vol_C3_I", samples=50_001, seed=5, chunks=2),
-                EstimatorSpec(target="vol_C3_II", samples=40_000, seed=5, chunks=7),
-                EstimatorSpec(target="vol_C3_ordered", samples=16_385, seed=5),
-                EstimatorSpec(target="vol_Dn_star", samples=2, seed=5, chunks=4, n=3),
-                EstimatorSpec(target="p3", samples=50_001, seed=5, n=3),
-            ],
-            [  # brackets beside a longer volume of the same stream
-                EstimatorSpec(target="pn_bracket", samples=1, seed=6, n=4),
-                EstimatorSpec(target="pn_bracket", samples=3_000, seed=6, chunks=2, n=4),
-                EstimatorSpec(target="vol_Dn_star", samples=60_000, seed=6, chunks=2, n=4),
-                EstimatorSpec(target="pn_bracket", samples=30_000, seed=6, chunks=5, n=4),
-                EstimatorSpec(target="pn_bracket", samples=20_000, seed=6, n=8),
-            ],
-            [  # duplicates, also at another chunk count
-                EstimatorSpec(target="p3", samples=20_000, seed=7),
-                EstimatorSpec(target="pn_bracket", samples=5_000, seed=7, n=6),
-                EstimatorSpec(target="p3", samples=20_000, seed=7),
-                EstimatorSpec(target="p3", samples=20_000, seed=7, chunks=3),
-                EstimatorSpec(target="pn_bracket", samples=5_000, seed=7, n=6),
-            ],
+    CASES = {
+        "seed-at-dims": [  # one seed at several dims, and another seed
+            EstimatorSpec(target="p3", samples=30_000, seed=4, chunks=2),
+            EstimatorSpec(target="vol_Dn_star", samples=20_000, seed=4, n=4),
+            EstimatorSpec(target="vol_Dn_star", samples=25_000, seed=4, chunks=3, n=7),
+            EstimatorSpec(target="pn_bracket", samples=10_000, seed=4, n=5),
+            EstimatorSpec(target="vol_Dn_star", samples=20_000, seed=5, n=4),
         ],
-        ids=["seed-at-dims", "one-stream", "brackets", "duplicates"],
+        "one-stream": [  # one (seed, dim): 1 sample, less than a block, several blocks
+            EstimatorSpec(target="p3", samples=1, seed=5),
+            EstimatorSpec(target="p3_star", samples=5_000, seed=5, chunks=3),
+            EstimatorSpec(target="vol_C3_I", samples=50_001, seed=5, chunks=2),
+            EstimatorSpec(target="vol_C3_II", samples=40_000, seed=5, chunks=7),
+            EstimatorSpec(target="vol_C3_ordered", samples=16_385, seed=5),
+            EstimatorSpec(target="vol_Dn_star", samples=2, seed=5, chunks=4, n=3),
+            EstimatorSpec(target="p3", samples=50_001, seed=5, n=3),
+        ],
+        "brackets": [  # brackets beside a longer volume of the same stream
+            EstimatorSpec(target="pn_bracket", samples=1, seed=6, n=4),
+            EstimatorSpec(target="pn_bracket", samples=3_000, seed=6, chunks=2, n=4),
+            EstimatorSpec(target="vol_Dn_star", samples=60_000, seed=6, chunks=2, n=4),
+            EstimatorSpec(target="pn_bracket", samples=30_000, seed=6, chunks=5, n=4),
+            EstimatorSpec(target="pn_bracket", samples=20_000, seed=6, n=8),
+        ],
+        "duplicates": [  # duplicates, also at another chunk count
+            EstimatorSpec(target="p3", samples=20_000, seed=7),
+            EstimatorSpec(target="pn_bracket", samples=5_000, seed=7, n=6),
+            EstimatorSpec(target="p3", samples=20_000, seed=7),
+            EstimatorSpec(target="p3", samples=20_000, seed=7, chunks=3),
+            EstimatorSpec(target="pn_bracket", samples=5_000, seed=7, n=6),
+        ],
+    }
+
+    @pytest.mark.parametrize(
+        "case, forked",
+        [pytest.param(case, False, id=case) for case in CASES]
+        + [
+            pytest.param(
+                case, True, id=f"{case}-forked",
+                marks=pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork"),
+            )
+            for case in CASES
+        ],
     )
-    def test_equals_estimate_of_each(self, specs):
+    def test_equals_estimate_of_each(self, monkeypatch, case, forked):
+        # forked: every group of more than one chunk is shared with a forked
+        # child, whose specs stop at different sample counts within its share
+        specs = self.CASES[case]
         want = [estimate(spec) for spec in specs]
+        if forked:
+            monkeypatch.setattr(mc, "FORK_WORDS", 1)
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+            pids = record_forks(monkeypatch)
         got = mc.estimate_many(specs)
         assert got == want
         assert repr(got) == repr(want)
+        if forked:
+            assert pids
+            assert_no_child()
 
 
 class TestAgainstClosedForms:

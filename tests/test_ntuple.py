@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclictuples import symbolic
 from cyclictuples.core import (
     DiscreteDist,
     HypothesisNotMetError,
@@ -395,24 +396,6 @@ class TestDnRegions:
                 assert np.array_equal(cyclic, ~(d_i(*cols) | d_ii(*cols))), n
 
 
-def _recording(op):
-    def recorded(self, other):
-        _Recorded.operands.append(other)
-        return op(self, other)
-
-    return recorded
-
-
-class _Recorded(np.ndarray):
-    """A numpy column that records the operands of every & and |."""
-
-    operands: list = []
-    __and__ = _recording(np.ndarray.__and__)
-    __rand__ = _recording(np.ndarray.__rand__)
-    __or__ = _recording(np.ndarray.__or__)
-    __ror__ = _recording(np.ndarray.__ror__)
-
-
 class TestJoins:
     """``_all``/``_any`` join conditions with & and |, seeded by the first."""
 
@@ -444,14 +427,12 @@ class TestJoins:
 
     @pytest.mark.parametrize("n", [3, 4, 8])
     def test_columns_never_meet_a_python_bool(self, n):
-        cols = [c.view(_Recorded) for c in uniform_words(40 + n, 0, 1000 * n, n)]
-        _Recorded.operands = []
-        for region in (d_i, d_ii, d_star, min_above_pi_n, max_below_one_minus_pi_n):
-            region(*cols)
-        if n >= 4:
-            certificates(*cols)
-        assert _Recorded.operands
-        assert all(isinstance(o, np.ndarray) and o.shape == (1000,) for o in _Recorded.operands)
+        # every & and | of the traced regions joins two columns
+        regions = (d_i, d_ii, d_star, min_above_pi_n, max_below_one_minus_pi_n)
+        regions += (certificates,) if n >= 4 else ()
+        program = symbolic.trace.__wrapped__(regions, n)
+        joins = [args for ufunc, args, _ in program.steps if ufunc in (np.bitwise_and, np.bitwise_or)]
+        assert joins and all(type(a) is int for args in joins for a in args)
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_d_star_matches_its_definition(self, n):

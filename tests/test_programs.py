@@ -23,9 +23,11 @@ CASES = [
 
 def _run(masks_fn, cols, buffers):
     """The masks of the program traced from ``masks_fn``, run on the block
-    ``cols`` that ``buffers`` drew last, beside the predicate's own masks."""
+    ``cols`` that ``buffers`` drew last, beside the predicate's own masks
+    (one mask, or a tuple of them)."""
     ((*got,),) = buffers.run(symbolic.trace((masks_fn,), len(cols)))
-    return got, list(masks_fn(*cols))
+    want = masks_fn(*cols)
+    return got, list(want) if isinstance(want, tuple) else [want]
 
 
 @pytest.mark.parametrize("name, n", CASES, ids=[f"{name}-{n}" for name, n in CASES])
@@ -57,8 +59,22 @@ def test_group_program_shares_steps():
 
 
 def test_branching_predicate_fails_at_trace_time():
-    with pytest.raises(TypeError):
-        symbolic.trace((ntuple._updown_index,), 4)
+    # a truth test on any traced column raises: an input, a sum, a
+    # complement, a product, a comparison through le and without, a join
+    columns = (
+        lambda x, y: x,
+        lambda x, y: x + y,
+        lambda x, y: 1 - x,
+        lambda x, y: x * y,
+        lambda x, y: triple.le(x, 1),
+        lambda x, y: x <= y,
+        lambda x, y: (x < y) | (y < x),
+    )
+    for column in columns:
+        with pytest.raises(TypeError, match="no truth value"):
+            symbolic.trace((lambda x, y: x if column(x, y) else y,), 2)
+    with pytest.raises(TypeError, match="no truth value"):
+        symbolic.trace((ntuple._updown_index,), 4)  # branches on a comparison
 
 
 def test_slot_reused_after_last_read():

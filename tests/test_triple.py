@@ -302,19 +302,6 @@ class TestDensityStats:
             unrestricted_min_density(1.5)
 
 
-def record_words(monkeypatch):
-    """The word count of every ``rng.uniform_words`` call from now on."""
-    words = []
-    draw = rng.uniform_words
-
-    def recording(seed, start, count, dim=None, **kwargs):
-        words.append(count)
-        return draw(seed, start, count, dim, **kwargs)
-
-    monkeypatch.setattr(rng, "uniform_words", recording)
-    return words
-
-
 class TestSampler:
     def test_postcondition_and_shape(self):
         pts = sample_ordered_cyclic(2000, seed=5)
@@ -335,23 +322,22 @@ class TestSampler:
         monkeypatch.setattr(rng, "_MIN_ROWS", 1)
         monkeypatch.setattr(rng, "BLOCK_WORDS", 3 * rows)
 
-    def test_batching_does_not_change_output(self, monkeypatch):
+    def test_batching_does_not_change_output(self, monkeypatch, record_words):
         a = sample_ordered_cyclic(3000, seed=4)
-        words = record_words(monkeypatch)
+        record_words.clear()
         self.draw_blocks_of(monkeypatch, 4096)
         b = sample_ordered_cyclic(3000, seed=4)
-        assert max(words) == 3 * 4096
+        assert max(record_words) == 3 * 4096
         assert np.array_equal(a, b)
 
-    def test_output_independent_of_batch_cap(self, monkeypatch):
+    def test_output_independent_of_batch_cap(self, monkeypatch, record_words):
         ref = sample_ordered_cyclic(2000, seed=21)
-        words = record_words(monkeypatch)
         for rows in (1, 7, 4096):
             self.draw_blocks_of(monkeypatch, rows)
-            words.clear()
+            record_words.clear()
             assert np.array_equal(sample_ordered_cyclic(2000, seed=21), ref)
             # full blocks, or one block short of the cap when that suffices
-            assert max(words) == min(3 * rows, sum(words))
+            assert max(record_words) == min(3 * rows, sum(record_words))
 
     def test_count_capped(self, monkeypatch):
         monkeypatch.setattr(triple, "MAX_SAMPLE_ROWS", 100)
@@ -373,12 +359,11 @@ class TestSampler:
         assert pts.flags.c_contiguous
         assert hashlib.sha256(pts.tobytes()).hexdigest() == digest
 
-    def test_small_request_draws_few_words(self, monkeypatch):
-        drawn = record_words(monkeypatch)
+    def test_small_request_draws_few_words(self, record_words):
         for seed in range(20):
-            drawn.clear()
+            record_words.clear()
             sample_ordered_cyclic(1000, seed=seed)
-            assert sum(drawn) <= 2 * 3000 / P3
+            assert sum(record_words) <= 2 * 3000 / P3
 
     def test_columns_match_cube_rejection(self):
         # The old sampler: unsorted cube points kept only if already
