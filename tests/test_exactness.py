@@ -339,3 +339,23 @@ def test_compared_sides_have_the_band_proofs_shape(monkeypatch, name, fn, n):
     program = symbolic.trace.__wrapped__((fn,), n)
     assert compared
     _walk(program, compared)
+
+
+def test_truth_test_on_a_traced_value_raises():
+    # the walk above sees every comparison only if no predicate branches:
+    # a truth test on any traced column raises, an input, a sum, a
+    # complement, a product, a comparison through le and without, a join
+    columns = (
+        lambda x, y: x,
+        lambda x, y: x + y,
+        lambda x, y: 1 - x,
+        lambda x, y: x * y,
+        lambda x, y: triple.le(x, 1),
+        lambda x, y: x <= y,
+        lambda x, y: (x < y) | (y < x),
+    )
+    for column in columns:
+        with pytest.raises(TypeError, match="no truth value"):
+            symbolic.trace((lambda x, y: x if column(x, y) else y,), 2)
+    with pytest.raises(TypeError, match="no truth value"):
+        symbolic.trace((ntuple._updown_index,), 4)  # branches on a comparison
