@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, choices=list(mc.TARGETS))
     p.add_argument("--samples", type=_samples, default=1_000_000, help=f"samples, 1 to {mc.MAX_SAMPLES:,} (about an hour)")
     p.add_argument("--seed", type=_int, default=0)
-    p.add_argument("--chunks", type=_int, default=1, help=f"chunks, 1 to {mc.MAX_CHUNKS:,}; no result depends on it: it caps the processes that share a stream of {mc.FORK_WORDS:,} words or more")
+    p.add_argument("--chunks", type=_int, default=1, help=f"chunks, 1 to {mc.MAX_CHUNKS:,}; no count, estimate or stderr depends on it: it caps the processes that share a stream of {mc.FORK_WORDS:,} words or more")
     p.add_argument("--n", type=_int, default=None, help=f"tuple length, at most {ntuple.MAX_N:,}")
     p.set_defaults(func=cmd_estimate)
 

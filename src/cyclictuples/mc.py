@@ -4,9 +4,10 @@ Work is partitioned into chunks of contiguous global sample indices, and
 each sample's coordinates come from a fixed slice of the counter-based
 stream, so the estimate is a pure function of (target, samples, seed):
 rerunning, or re-partitioning into a different number of chunks, is
-bit-identical.  Chunks reduce by exact integer counts, so no result
-depends on the chunk count: ``chunks`` only caps how many processes share
-a (seed, dim) stream of at least ``FORK_WORDS`` words.
+bit-identical.  Chunks reduce by exact integer counts, so no count,
+estimate or stderr depends on the chunk count (only the echoed ``chunks``
+field does): ``chunks`` caps how many processes share a (seed, dim) stream
+of at least ``FORK_WORDS`` words.
 
 For n >= 4 the cyclic region has no exact membership test, so
 ``pn_bracket`` reports a two-sided bracket from ``ntuple.certificates``:

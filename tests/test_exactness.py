@@ -304,6 +304,8 @@ def _walk(program, compared):
             views[out] = _arithmetic(ufunc, a, b)
             _, lo, hi = views[out]
             assert 0 <= lo <= hi <= 2, f"step {k}: an intermediate value in [{lo}, {hi}] leaves [0, 2]"
+    # output slots are never reused, so each mask's view is still its step's
+    assert all(views[i] is None for masks in program.outputs for i in masks), "a mask is not a comparison or join"
 
 
 def _collecting(compare, nodes):
@@ -357,5 +359,3 @@ def test_truth_test_on_a_traced_value_raises():
     for column in columns:
         with pytest.raises(TypeError, match="no truth value"):
             symbolic.trace((lambda x, y: x if column(x, y) else y,), 2)
-    with pytest.raises(TypeError, match="no truth value"):
-        symbolic.trace((ntuple._updown_index,), 4)  # branches on a comparison
