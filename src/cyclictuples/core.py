@@ -8,13 +8,16 @@ P(U_{i+1} > U_i) = x_i around the cycle (indices modulo n).  It is
 
 Number handling: a verdict on a scalar tuple is a statement about the exact
 value of its coordinates, a float being the dyadic rational it stores.  The
-region predicates compare every computed expression through ``le``/``lt``:
-exact on Fraction and int operands, while on floats they raise ``_NearTie``
-inside ``_FLOAT_BAND`` and ``decide_exactly`` evaluates again on Fractions.
-A constant meets the coordinates in the kind ``constant`` gives it.  numpy
-columns are exact under ``decide_columns``: while it runs a predicate,
-``le``/``lt`` record the rows whose comparison falls inside the band, and
-only those rows are decided again on their exact values.  Outside it,
+region predicates compare coordinates and computed expressions only through
+``le``/``lt``.  ``decide_exactly`` first runs a predicate on each
+coordinate rounded once to float, whatever its kind; ``le``/``lt`` raise
+``_NearTie`` when a float comparison falls inside ``_FLOAT_BAND``, and only
+then is the predicate run again on the Fractions of the original values,
+where ``le``/``lt`` are exact.  A constant meets the coordinates in the
+kind ``constant`` gives it.  numpy columns are exact under
+``decide_columns``: while it runs a predicate, ``le``/``lt`` record the
+rows whose comparison falls inside the band, and only those rows are
+decided again on their exact values.  Outside it,
 columns pass straight through.  ``symbolic.trace`` runs predicates on
 ``SymbolicColumn``s, beside which ``constant`` gives a 0-d array, and
 records what they compute as a program of ufunc calls, which ``mc`` and
@@ -110,22 +113,26 @@ _STATUS = {
 }
 
 
-# Each side of a comparison passed to ``le``/``lt`` is a polynomial of
-# degree <= 2 in coordinates from [0, 1], some of them the rounded
-# complement fl(1 - x).  With u = 2**-53, every intermediate value lies in
-# [0, 2], so one rounding errs by at most u: by u/2 for a value <= 1.  A
-# factor fl(1 - x), or a Fraction coordinate rounded when it meets a float,
-# is off by at most u/2; a product of two such factors by at most
-# 2 * (u/2) + u/2; a sum of a factor and a product by at most
-# u/2 + 3u/2 + u = 3u.  So each side errs by less than 2**-51, both sides
-# together by less than 2**-50, and rounding the gap a - b (at most 3u/2,
-# counting a Fraction side rounded to float) keeps the total below 2**-49.
-# A gap whose float value exceeds _FLOAT_BAND therefore has the same sign
-# in exact arithmetic.  This covers a predicate that complements its columns
-# under ``decide_columns``: fl(1 - x) stands for 1 - x, a coordinate rounded
-# once, off by at most u/2, and 1 - fl(1 - x) is exact (Sterbenz).  A test
-# in tests/test_exactness.py walks each predicate's ``symbolic.trace``
-# program forward to check these shapes and intervals.
+# Each side of a comparison passed to ``le``/``lt`` is a constant, or a sum
+# of at most two terms, each a factor (a coordinate x or its complement
+# fl(1 - x)) or a product of two factors, every intermediate value in
+# [0, 2].  With u = 2**-53, one rounding errs by at most u, and by u/2 for a
+# value <= 1.  The float pass of ``decide_exactly`` rounds each coordinate
+# once, so a coordinate is off by at most u/2 from its exact value, and its
+# complement by u/2 + u/2 = u.  A product of two factors, each in [0, 1] and
+# off by at most u, is off by at most u + u + u/2 = 2.5u; a sum of a factor
+# and a product by at most u + 2.5u + u = 4.5u, and a sum of two products by
+# 2.5u + 2.5u + u = 6u.  A constant is exact in both passes.  So both sides
+# together err by at most 12u, and rounding the gap a - b adds at most u:
+# 13u < 2**-48.  A gap whose float value exceeds _FLOAT_BAND therefore has
+# the same sign in exact arithmetic.  This covers a predicate that
+# complements its columns under ``decide_columns``: fl(1 - x) stands for
+# 1 - x, a coordinate rounded once, and 1 - fl(1 - x) is exact (Sterbenz).
+# A comparison outside ``le``/``lt``, even of two coordinates, is not
+# exact on rounded coordinates, so the predicates make none.  A test in
+# tests/test_exactness.py walks each predicate's ``symbolic.trace`` program
+# forward to check these shapes and intervals, and that every comparison
+# is one that ``le``/``lt`` made.
 _FLOAT_BAND = 2.0**-48
 
 # The near mask of the active ``decide_columns`` call, one flag per row;
@@ -166,11 +173,11 @@ _fraction = functools.cache(Fraction)
 
 def constant(value: float, like):
     """The float ``value`` in the kind that ``le``/``lt`` compare with the
-    coordinate ``like``: a float beside floats, a cached Fraction beside
-    Fractions (the exact pass of ``decide_exactly``, where a float side
-    would be flagged again), a 0-d array beside numpy columns (a float
-    never meets a column in ``le``/``lt``) and beside symbolic ones, which
-    take its operators."""
+    coordinate ``like``: a float beside floats (the float pass of
+    ``decide_exactly``), a cached Fraction beside Fractions (its exact
+    pass, where a float side would be flagged again), a 0-d array beside
+    numpy columns (a float never meets a column in ``le``/``lt``) and
+    beside symbolic ones, which take its operators."""
     if isinstance(like, Fraction):
         return _fraction(value)
     if isinstance(like, (np.ndarray, SymbolicColumn)):
@@ -179,10 +186,14 @@ def constant(value: float, like):
 
 
 def decide_exactly(fn: Callable, values: Sequence[Number]):
-    """``fn(*values)`` as decided on the exact values: evaluated in floats,
-    and again on Fractions only when a comparison is a near tie."""
+    """``fn(*values)`` as decided on the exact values.  ``fn`` runs first
+    on each value rounded once to float, whatever its kind (an int, a float
+    or a Fraction), and again on ``Fraction(v)`` of each original value v
+    only when a comparison in ``le``/``lt`` is a near tie.  ``fn`` must
+    compare coordinates only through ``le``/``lt``: a raw comparison of two
+    rounded coordinates is not exact."""
     try:
-        return fn(*values)
+        return fn(*map(float, values))
     except _NearTie:
         return fn(*map(Fraction, values))
 

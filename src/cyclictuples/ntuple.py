@@ -10,9 +10,9 @@ necessity threshold, and everything else is Unknown.
 The D-regions (``d_i``, ``d_ii``, ``d_star``), the pi_n necessity tests
 (``min_above_pi_n``, ``max_below_one_minus_pi_n``), the n >= 4
 ``certificates`` and ``status_code`` are predicates of the coordinates
-written with + - * and comparisons joined by & and |, every comparison of a
-sum or with pi_n going through ``core.le``/``core.lt``, and pi_n taking the
-kind of the coordinates from ``core.constant``.  So
+written with + - * and comparisons joined by & and |, every comparison
+going through ``core.le``/``core.lt``, and pi_n taking the kind of the
+coordinates from ``core.constant``.  So
 ``core.in_region`` and ``decide_ntuple`` decide them on exact scalar
 values, ``core.decide_columns`` decides them exactly on numpy columns
 (``checks.symmetry``), and ``mc`` counts their float masks with the
@@ -109,7 +109,7 @@ def d_ii(*xs):
 
 def d_star(*xs):
     """D*_n: D_I with x_1 minimal (ties count, a measure-zero convention)."""
-    return d_i(*xs) & _all(xs[0] <= x for x in xs[1:])
+    return d_i(*xs) & _all(le(xs[0], x) for x in xs[1:])
 
 
 def min_above_pi_n(*xs):
@@ -245,6 +245,18 @@ _MIXED_PAIRWISE_SUMS = Verdict(Reason.MIXED_PAIRWISE_SUMS)
 _UNDECIDED = Verdict(Reason.UNDECIDED)
 
 
+def _pi_n_verdict_or_updown_index(*xs) -> Verdict | int | None:
+    """The n >= 4 tests of ``decide_ntuple`` in its order, on scalars: the
+    NotCyclic verdict of either pi_n test, else the smallest up-down index,
+    else None.  One function, so ``decide_exactly`` converts a tuple once
+    and decides a near tie again once."""
+    if min_above_pi_n(*xs):
+        return _MIN_EXCEEDS_PI_N
+    if max_below_one_minus_pi_n(*xs):
+        return _MAX_BELOW_ONE_MINUS_PI_N
+    return _updown_index(*xs)
+
+
 def decide_ntuple(t: ProbTuple | Sequence[Number], with_witness: bool = True) -> Verdict:
     """Sound three-valued decision for n >= 3.
 
@@ -259,17 +271,14 @@ def decide_ntuple(t: ProbTuple | Sequence[Number], with_witness: bool = True) ->
     if t.n == 3:
         return is_cyclic_triple(t)
 
-    if decide_exactly(min_above_pi_n, t.values):
-        return _MIN_EXCEEDS_PI_N
-    if decide_exactly(max_below_one_minus_pi_n, t.values):
-        return _MAX_BELOW_ONE_MINUS_PI_N
-
-    index = decide_exactly(_updown_index, t.values)
-    if index is not None:
-        if with_witness:
-            return Verdict(Reason.UP_DOWN_CONDITION_MET, witness=build_witness(t, index))
-        return _MIXED_PAIRWISE_SUMS
-    return _UNDECIDED
+    found = decide_exactly(_pi_n_verdict_or_updown_index, t.values)
+    if isinstance(found, Verdict):
+        return found
+    if found is None:
+        return _UNDECIDED
+    if with_witness:
+        return Verdict(Reason.UP_DOWN_CONDITION_MET, witness=build_witness(t, found))
+    return _MIXED_PAIRWISE_SUMS
 
 
 @functools.cache

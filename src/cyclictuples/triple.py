@@ -14,7 +14,8 @@ cyclic triple, their summary statistics, and a rejection sampler.
 Each region is written once, here, as a predicate of (x, y, z): ``cyclic``
 (from ``trybula``), ``nontransitive``, ``c3_i``, ``c3_ii`` and
 ``ordered_cyclic``.  They use only + - * and comparisons joined by & and |,
-so one function decides Fraction scalars exactly, float scalars in
+every comparison made by ``core.le``/``core.lt`` and 1/2 given by
+``core.constant``, so one function decides scalars of every kind exactly in
 ``is_cyclic_triple`` and ``in_region``, and numpy columns, and
 ``symbolic.trace`` records it as the program that the sampler and ``mc`` run.
 
@@ -44,6 +45,7 @@ from .core import (
     Reason,
     Verdict,
     as_tuple,
+    constant,
     decide_exactly,
     le,
     lt,
@@ -78,7 +80,8 @@ def cyclic(x, y, z):
 
 def nontransitive(x, y, z):
     """The nontransitive region C3*: cyclic with every coordinate above 1/2."""
-    return cyclic(x, y, z) & (x > 0.5) & (y > 0.5) & (z > 0.5)
+    half = constant(0.5, x)
+    return cyclic(x, y, z) & lt(half, x) & lt(half, y) & lt(half, z)
 
 
 def c3_i(x, y, z):
@@ -86,21 +89,22 @@ def c3_i(x, y, z):
     quotients (y <= (1-x)/x becomes x*y <= 1-x) and x <= OMEGA is written
     x*x + x <= 1, so no constant is rounded."""
     return (
-        (x > 0.5)
+        lt(constant(0.5, x), x)
         & le(x * x + x, 1)
-        & (x <= y)
+        & le(x, y)
         & le(x * y, 1 - x)
-        & (x <= z)
+        & le(x, z)
         & le(y * z, 1 - x)
     )
 
 
 def c3_ii(x, y, z):
     """C3_II: cyclic, x < 1/2 < y, z."""
+    half = constant(0.5, x)
     return (
-        (x < 0.5)
-        & (z > 0.5)
-        & (((y > 0.5) & le(y, 1 - x)) | (lt(1 - x, y) & le(y * z, 1 - x)))
+        lt(x, half)
+        & lt(half, z)
+        & ((lt(half, y) & le(y, 1 - x)) | (lt(1 - x, y) & le(y * z, 1 - x)))
     )
 
 
@@ -109,8 +113,8 @@ def ordered_cyclic(x, y, z):
     (1-z) + (1-x)(1-y) <= 1, which is Trybula's criterion on sorted
     coordinates."""
     return (
-        (x <= y)
-        & (y <= z)
+        le(x, y)
+        & le(y, z)
         & le(x + y * z, 1)
         & le((1 - z) + (1 - x) * (1 - y), 1)
     )

@@ -90,6 +90,73 @@ def test_ntuple_verdicts_are_exact(t):
         assert in_region(t, pred) == in_region(e, pred), pred.__name__
 
 
+# Fraction input takes the float pass too, each coordinate rounded once, so
+# a comparison of two rounded coordinates, or of one with 1/2, is no longer
+# exact: every one goes through le/lt.  Each case's coordinates round to
+# values on which a raw comparison gives the wrong verdict.
+TINY = Fraction(1, 2**70)
+HALF, THREE_FIFTHS = Fraction(1, 2), Fraction(3, 5)
+ROUNDED_TIES = [
+    (triple.nontransitive, (HALF + TINY, THREE_FIFTHS, THREE_FIFTHS), True),
+    (triple.nontransitive, (THREE_FIFTHS, HALF + TINY, THREE_FIFTHS), True),
+    (triple.nontransitive, (THREE_FIFTHS, THREE_FIFTHS, HALF + TINY), True),
+    (triple.c3_i, (HALF + TINY, THREE_FIFTHS, THREE_FIFTHS), True),
+    (triple.c3_i, (THREE_FIFTHS + TINY, THREE_FIFTHS, THREE_FIFTHS), False),
+    (triple.c3_i, (THREE_FIFTHS + TINY, THREE_FIFTHS, Fraction(13, 20)), False),
+    (triple.c3_i, (THREE_FIFTHS + TINY, Fraction(13, 20), THREE_FIFTHS), False),
+    (triple.c3_ii, (HALF - TINY, THREE_FIFTHS, THREE_FIFTHS), True),
+    (triple.c3_ii, (Fraction(2, 5), HALF + TINY, THREE_FIFTHS), True),
+    (triple.c3_ii, (Fraction(2, 5), Fraction(11, 20), HALF + TINY), True),
+    (triple.ordered_cyclic, (HALF + TINY, HALF, THREE_FIFTHS), False),
+    (triple.ordered_cyclic, (Fraction(2, 5), HALF + TINY, HALF), False),
+    (ntuple.d_star, (Fraction(1, 5) + TINY, Fraction(1, 5), Fraction(1, 5), Fraction(1, 5)), False),
+]
+
+
+@pytest.mark.parametrize(
+    "pred, values, expect", ROUNDED_TIES, ids=[f"{p.__name__}-{i}" for i, (p, _, _) in enumerate(ROUNDED_TIES)]
+)
+def test_rounded_coordinate_ties_keep_the_exact_verdict(pred, values, expect):
+    assert bool(pred(*values)) is expect  # on Fractions the predicate is exact
+    assert in_region(values, pred) is expect
+    if pred is triple.nontransitive:
+        assert triple.is_nontransitive_triple(values) is expect
+
+
+@st.composite
+def near_threshold_fractions(draw):
+    """A Fraction n-tuple, 3 <= n <= 6, with one coordinate within 2**-70 of
+    a value at which some predicate's comparison is a tie: 1/2, another
+    coordinate y, 1 - y, 1 - yz, (1 - y)(1 - z), 1/(1 + y) (where xy = 1 - x),
+    the float OMEGA, or either pi_n threshold."""
+    n = draw(st.integers(3, 6))
+    xs = [draw(fractions) for _ in range(n)]
+    i = draw(st.integers(0, n - 1))
+    y, z = xs[(i + draw(st.integers(1, n - 1))) % n], xs[(i + 1) % n]
+    t = Fraction(ntuple._pi_n_upper(n))
+    tie = draw(st.sampled_from(
+        [Fraction(1, 2), y, 1 - y, 1 - y * z, (1 - y) * (1 - z), 1 / (1 + y), Fraction(triple.OMEGA), t, 1 - t]
+    ))
+    xs[i] = min(Fraction(1), max(Fraction(0), tie + draw(st.sampled_from([-TINY, 0, TINY]))))
+    return tuple(xs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_threshold_fractions())
+def test_fraction_verdicts_equal_the_direct_fraction_evaluation(e):
+    # each predicate called directly on Fractions compares exactly
+    if len(e) == 3:
+        assert is_cyclic_triple(e) == triple._trybula_verdict(*e) == decide_ntuple(e)
+        assert triple.is_nontransitive_triple(e) is bool(triple.nontransitive(*e))
+        for pred in TRIPLE_PREDICATES:
+            assert in_region(e, pred) is bool(pred(*e)), pred.__name__
+    else:
+        assert CODES[decide_ntuple(e, with_witness=False).status] == ntuple.status_code(*e)
+        assert decide_ntuple(e).status is decide_ntuple(e, with_witness=False).status
+    for pred in NTUPLE_PREDICATES:
+        assert in_region(e, pred) is bool(pred(*e)), pred.__name__
+
+
 # Cyclic in float arithmetic, NotCyclic for the values the floats store
 ROADMAP_TRIPLE = (0.12508164197173333, 0.999910712553391, 0.8749964842301354)
 
@@ -130,6 +197,20 @@ def test_near_tie_decided_on_exact_values():
     assert sum_at_most_one(Fraction(1, 10), Fraction(9, 10))
     assert not decide_exactly(sum_at_most_one, (0.1, 0.9))
     assert Fraction(0.1) + Fraction(0.9) > 1
+
+
+def test_exact_pass_sees_the_original_values():
+    # the float pass rounds 1/3 and 2/3, whose float sum is exactly 1; the
+    # exact pass gets the Fractions given, not the Fractions of the floats
+    seen = []
+
+    def sum_at_most_one(a, b):
+        seen.append((a, b))
+        return le(a + b, 1)
+
+    assert decide_exactly(sum_at_most_one, (Fraction(1, 3), Fraction(2, 3))) is True
+    assert [type(a) for a, _ in seen] == [float, Fraction]
+    assert seen[1] == (Fraction(1, 3), Fraction(2, 3))
 
 
 @settings(max_examples=1000, deadline=None)
@@ -244,14 +325,14 @@ def test_near_mask_belongs_to_its_call():
     assert got == alone * 3 and outside is None
 
 
-# The proof of core._FLOAT_BAND assumes that every side of a comparison in
-# le/lt is a constant or a sum of at most two terms, each term a factor (a
-# coordinate x or its complement 1 - x) or a product of two factors, with
-# every intermediate value in [0, 2].  Walk each predicate's traced program
-# forward, keeping for each view its shape and an interval that holds its
-# value: a shape is a tuple of terms, a term a tuple of factors (j, c) for
-# x_j, or 1 - x_j when c is True; a constant has the shape ().  Step k of a
-# program computes node inputs + k.
+# The proof of core._FLOAT_BAND assumes that every comparison is made by
+# le/lt, and that each of its sides is a constant or a sum of at most two
+# terms, each term a factor (a coordinate x or its complement 1 - x) or a
+# product of two factors, with every intermediate value in [0, 2].  Walk
+# each predicate's traced program forward, keeping for each view its shape
+# and an interval that holds its value: a shape is a tuple of terms, a term
+# a tuple of factors (j, c) for x_j, or 1 - x_j when c is True; a constant
+# has the shape ().  Step k of a program computes node inputs + k.
 
 _COMPARISONS = (np.less, np.less_equal, np.greater, np.greater_equal)
 
@@ -292,13 +373,10 @@ def _walk(program, compared):
             continue
         a, b = (_operand(views, a) for a in args)
         if ufunc in _COMPARISONS:
-            for shape, _, _ in (a, b):
-                if program.inputs + k in compared:
-                    assert shape is not None, f"step {k}: le/lt compares a side outside the band proof"
-                else:  # outside le/lt only stored values are compared, which is exact
-                    assert shape == () or (shape and len(shape) == len(shape[0]) == 1 and not shape[0][0][1]), (
-                        f"step {k} compares {shape} outside le/lt"
-                    )
+            # the float pass rounds every coordinate, so even a comparison of
+            # two coordinates is exact only through le/lt
+            assert program.inputs + k in compared, f"step {k} compares outside le/lt"
+            assert a[0] is not None and b[0] is not None, f"step {k}: le/lt compares a side outside the band proof"
             views[out] = None
         else:
             views[out] = _arithmetic(ufunc, a, b)
