@@ -124,15 +124,17 @@ def test_rounded_coordinate_ties_keep_the_exact_verdict(pred, values, expect):
 
 
 @st.composite
-def near_threshold_fractions(draw):
-    """A Fraction n-tuple, 3 <= n <= 6, with one coordinate within 2**-70 of
-    a value at which some predicate's comparison is a tie: 1/2, another
-    coordinate y, 1 - y, 1 - yz, (1 - y)(1 - z), 1/(1 + y) (where xy = 1 - x),
-    the float OMEGA, or either pi_n threshold."""
+def near_threshold_tuples(draw):
+    """An n-tuple, 3 <= n <= 6, of Fractions and floats, with one Fraction
+    coordinate within 2**-70 of a value at which some predicate's comparison
+    is a tie: 1/2, another coordinate y, 1 - y, 1 - yz, (1 - y)(1 - z),
+    1/(1 + y) (where xy = 1 - x), the float OMEGA, or either pi_n threshold.
+    A tuple whose first coordinate is a float takes the float pass as given,
+    any other with every coordinate rounded."""
     n = draw(st.integers(3, 6))
-    xs = [draw(fractions) for _ in range(n)]
+    xs = [draw(st.one_of(fractions, unit)) for _ in range(n)]
     i = draw(st.integers(0, n - 1))
-    y, z = xs[(i + draw(st.integers(1, n - 1))) % n], xs[(i + 1) % n]
+    y, z = Fraction(xs[(i + draw(st.integers(1, n - 1))) % n]), Fraction(xs[(i + 1) % n])
     t = Fraction(ntuple._pi_n_upper(n))
     tie = draw(st.sampled_from(
         [Fraction(1, 2), y, 1 - y, 1 - y * z, (1 - y) * (1 - z), 1 / (1 + y), Fraction(triple.OMEGA), t, 1 - t]
@@ -142,19 +144,20 @@ def near_threshold_fractions(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(near_threshold_fractions())
-def test_fraction_verdicts_equal_the_direct_fraction_evaluation(e):
+@given(near_threshold_tuples())
+def test_verdicts_near_thresholds_equal_the_direct_fraction_evaluation(t):
     # each predicate called directly on Fractions compares exactly
-    if len(e) == 3:
-        assert is_cyclic_triple(e) == triple._trybula_verdict(*e) == decide_ntuple(e)
-        assert triple.is_nontransitive_triple(e) is bool(triple.nontransitive(*e))
+    e = _exact_values(t)
+    if len(t) == 3:
+        assert is_cyclic_triple(t) == triple._trybula_verdict(*e) == decide_ntuple(t)
+        assert triple.is_nontransitive_triple(t) is bool(triple.nontransitive(*e))
         for pred in TRIPLE_PREDICATES:
-            assert in_region(e, pred) is bool(pred(*e)), pred.__name__
+            assert in_region(t, pred) is bool(pred(*e)), pred.__name__
     else:
-        assert CODES[decide_ntuple(e, with_witness=False).status] == ntuple.status_code(*e)
-        assert decide_ntuple(e).status is decide_ntuple(e, with_witness=False).status
+        assert CODES[decide_ntuple(t, with_witness=False).status] == ntuple.status_code(*e)
+        assert decide_ntuple(t).status is decide_ntuple(t, with_witness=False).status
     for pred in NTUPLE_PREDICATES:
-        assert in_region(e, pred) is bool(pred(*e)), pred.__name__
+        assert in_region(t, pred) is bool(pred(*e)), pred.__name__
 
 
 # Cyclic in float arithmetic, NotCyclic for the values the floats store
