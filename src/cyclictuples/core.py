@@ -9,8 +9,8 @@ P(U_{i+1} > U_i) = x_i around the cycle (indices modulo n).  It is
 Number handling: a verdict on a scalar tuple is a statement about the exact
 value of its coordinates, a float being the dyadic rational it stores.  The
 region predicates compare coordinates and computed expressions only through
-``le``/``lt``.  ``decide_exactly`` first runs a predicate in floats, each
-coordinate rounded at most once, whatever its kind; ``le``/``lt`` raise
+``le``/``lt``.  ``decide_exactly`` first runs a predicate on each
+coordinate rounded once to float, whatever its kind; ``le``/``lt`` raise
 ``_NearTie`` when a float comparison falls inside ``_FLOAT_BAND``, and only
 then is the predicate run again on the Fractions of the original values,
 where ``le``/``lt`` are exact.  A constant meets the coordinates in the
@@ -118,25 +118,21 @@ _STATUS = {
 # fl(1 - x)) or a product of two factors, every intermediate value in
 # [0, 2].  With u = 2**-53, one rounding errs by at most u, and by u/2 for a
 # value <= 1.  The float pass of ``decide_exactly`` rounds each coordinate
-# at most once, so a coordinate is off by at most u/2 from its exact value,
-# and its complement by u/2 + u/2 = u.  A product of two factors, each in
-# [0, 1] and off by at most u, is off by at most u + u + u/2 = 2.5u; a sum
-# of a factor and a product by at most u + 2.5u + u = 4.5u, and a sum of two
-# products by 2.5u + 2.5u + u = 6u.  A constant is exact in both passes.
-# So both sides together err by at most 12u, and rounding the gap a - b
-# adds at most u: 13u < 2**-48.  A gap whose float value exceeds
-# _FLOAT_BAND therefore has the same sign in exact arithmetic.  When the
-# first coordinate is a float, the others run as given: a Fraction among
-# them is rounded where it first meets a float, and a sub-expression of
-# Fractions is exact until then, so it errs no more than the same
-# expression in floats, and two exact sides compare exactly.  This covers a
-# predicate that complements its columns under ``decide_columns``:
-# fl(1 - x) stands for 1 - x, a coordinate rounded once, and 1 - fl(1 - x)
-# is exact (Sterbenz).  A comparison outside ``le``/``lt``, even of two
-# coordinates, is not exact on rounded coordinates, so the predicates make
-# none.  A test in tests/test_exactness.py walks each predicate's
-# ``symbolic.trace`` program forward to check these shapes and intervals,
-# and that every comparison is one that ``le``/``lt`` made.
+# once, so a coordinate is off by at most u/2 from its exact value, and its
+# complement by u/2 + u/2 = u.  A product of two factors, each in [0, 1] and
+# off by at most u, is off by at most u + u + u/2 = 2.5u; a sum of a factor
+# and a product by at most u + 2.5u + u = 4.5u, and a sum of two products by
+# 2.5u + 2.5u + u = 6u.  A constant is exact in both passes.  So both sides
+# together err by at most 12u, and rounding the gap a - b adds at most u:
+# 13u < 2**-48.  A gap whose float value exceeds _FLOAT_BAND therefore has
+# the same sign in exact arithmetic.  This covers a predicate that
+# complements its columns under ``decide_columns``: fl(1 - x) stands for
+# 1 - x, a coordinate rounded once, and 1 - fl(1 - x) is exact (Sterbenz).
+# A comparison outside ``le``/``lt``, even of two coordinates, is not
+# exact on rounded coordinates, so the predicates make none.  A test in
+# tests/test_exactness.py walks each predicate's ``symbolic.trace`` program
+# forward to check these shapes and intervals, and that every comparison
+# is one that ``le``/``lt`` made.
 _FLOAT_BAND = 2.0**-48
 
 # The near mask of the active ``decide_columns`` call, one flag per row;
@@ -191,15 +187,13 @@ def constant(value: float, like):
 
 def decide_exactly(fn: Callable, values: Sequence[Number]):
     """``fn(*values)`` as decided on the exact values.  ``fn`` runs first
-    in floats: on the values as given when the first is a float (a float
-    costs nothing to round), else on each value rounded once to float,
-    whatever its kind (an int or a Fraction).  It runs again on
-    ``Fraction(v)`` of each original value v only when a comparison in
-    ``le``/``lt`` is a near tie.  ``fn`` must compare coordinates only
-    through ``le``/``lt``: a raw comparison of two rounded coordinates is
-    not exact."""
+    on each value rounded once to float, whatever its kind (an int, a float
+    or a Fraction), and again on ``Fraction(v)`` of each original value v
+    only when a comparison in ``le``/``lt`` is a near tie.  ``fn`` must
+    compare coordinates only through ``le``/``lt``: a raw comparison of two
+    rounded coordinates is not exact."""
     try:
-        return fn(*(values if type(values[0]) is float else map(float, values)))
+        return fn(*map(float, values))
     except _NearTie:
         return fn(*map(Fraction, values))
 

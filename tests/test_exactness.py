@@ -128,9 +128,7 @@ def near_threshold_tuples(draw):
     """An n-tuple, 3 <= n <= 6, of Fractions and floats, with one Fraction
     coordinate within 2**-70 of a value at which some predicate's comparison
     is a tie: 1/2, another coordinate y, 1 - y, 1 - yz, (1 - y)(1 - z),
-    1/(1 + y) (where xy = 1 - x), the float OMEGA, or either pi_n threshold.
-    A tuple whose first coordinate is a float takes the float pass as given,
-    any other with every coordinate rounded."""
+    1/(1 + y) (where xy = 1 - x), the float OMEGA, or either pi_n threshold."""
     n = draw(st.integers(3, 6))
     xs = [draw(st.one_of(fractions, unit)) for _ in range(n)]
     i = draw(st.integers(0, n - 1))
