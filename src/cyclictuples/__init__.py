@@ -35,7 +35,6 @@ from .triple import (
     is_cyclic_triple,
     is_nontransitive_triple,
     sample_ordered_cyclic,
-    unrestricted_min_density,
     unrestricted_min_stats,
 )
 from .ntuple import (
@@ -94,7 +93,6 @@ __all__ = [
     "reverse",
     "rotate",
     "sample_ordered_cyclic",
-    "unrestricted_min_density",
     "unrestricted_min_stats",
     "verify_witness",
     "vol_dn_star",

@@ -12,6 +12,7 @@ that runs.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -172,9 +173,11 @@ _BLOCK_ROWS = 4096
 _TRIPLE_ORDERINGS = ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 
 
+@functools.cache
 def _complemented(fn):
     """``fn`` on the complements 1 - x of its arguments: exact on Fractions,
-    fl(1 - x) on float columns."""
+    fl(1 - x) on float columns.  One function per ``fn``, so that its
+    program is traced once."""
     return lambda *xs: fn(*[1 - x for x in xs])
 
 
@@ -192,10 +195,10 @@ def symmetry(samples: int, seed: int) -> dict:
     comparison with an Unknown side is exempt).
 
     The tuples are decided in blocks of ``_BLOCK_ROWS`` on numpy columns
-    under ``core.decide_columns``, through ``triple.cyclic`` and
-    ``ntuple.status_code``: each verdict is the exact one that
-    ``triple.is_cyclic_triple`` and ``ntuple.decide_ntuple`` give.  A
-    complement is the predicate ``_complemented`` on the drawn columns, so
+    by ``core.decide_columns``, which runs the traced programs of
+    ``triple.cyclic`` and ``ntuple.status_code``: each verdict is the exact
+    one that ``triple.is_cyclic_triple`` and ``ntuple.decide_ntuple`` give.
+    A complement is the predicate ``_complemented`` on the drawn columns, so
     a near tie is decided again on 1 - Fraction(x)."""
     rnd = random.Random(seed)
     triple_bad = ntuple_bad = exempt = 0

@@ -14,15 +14,15 @@ coordinate rounded once to float, whatever its kind; ``le``/``lt`` raise
 ``_NearTie`` when a float comparison falls inside ``_FLOAT_BAND``, and only
 then is the predicate run again on the Fractions of the original values,
 where ``le``/``lt`` are exact.  A constant meets the coordinates in the
-kind ``constant`` gives it.  numpy columns are exact under
-``decide_columns``: while it runs a predicate, ``le``/``lt`` record the
-rows whose comparison falls inside the band, and only those rows are
-decided again on their exact values.  Outside it,
-columns pass straight through.  ``symbolic.trace`` runs predicates on
+kind ``constant`` gives it.  ``symbolic.trace`` runs predicates on
 ``SymbolicColumn``s, beside which ``constant`` gives a 0-d array, and
-records what they compute as a program of ufunc calls, which ``mc`` and
-the sampler run to count float masks, the same as the predicates give on
-float columns.  Volume and density paths work in ordinary binary floats.
+records what they compute as a program of ufunc calls, the same as the
+predicates give on float columns.  ``mc`` and the sampler run such
+programs to count float masks.  ``decide_columns`` runs one to decide
+numpy columns exactly: it flags the rows where a comparison step's sides
+fall inside the band, and decides only those rows again on their exact
+values.  ``le``/``lt`` pass numpy columns straight through.  Volume and
+density paths work in ordinary binary floats.
 All types here are immutable and safe to share across workers.
 
 Witness arithmetic runs on integers.  A ``DiscreteDist`` stores its points
@@ -41,7 +41,6 @@ and in all the numerators a witness file's distributions store.
 
 from __future__ import annotations
 
-import contextvars
 import enum
 import functools
 import math
@@ -53,7 +52,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .symbolic import SymbolicColumn
+from .symbolic import SymbolicColumn, trace
 
 Number = Union[int, float, Fraction]
 
@@ -125,9 +124,11 @@ _STATUS = {
 # 2.5u + 2.5u + u = 6u.  A constant is exact in both passes.  So both sides
 # together err by at most 12u, and rounding the gap a - b adds at most u:
 # 13u < 2**-48.  A gap whose float value exceeds _FLOAT_BAND therefore has
-# the same sign in exact arithmetic.  This covers a predicate that
-# complements its columns under ``decide_columns``: fl(1 - x) stands for
-# 1 - x, a coordinate rounded once, and 1 - fl(1 - x) is exact (Sterbenz).
+# the same sign in exact arithmetic.  ``decide_columns`` tests the same
+# band before every comparison step of a traced program, whose steps are
+# the comparisons that ``le``/``lt`` made on columns.  This covers a
+# predicate that complements its columns: fl(1 - x) stands for 1 - x, a
+# coordinate rounded once, and 1 - fl(1 - x) is exact (Sterbenz).
 # A comparison outside ``le``/``lt``, even of two coordinates, is not
 # exact on rounded coordinates, so the predicates make none.  A test in
 # tests/test_exactness.py walks each predicate's ``symbolic.trace`` program
@@ -135,10 +136,9 @@ _STATUS = {
 # is one that ``le``/``lt`` made.
 _FLOAT_BAND = 2.0**-48
 
-# The near mask of the active ``decide_columns`` call, one flag per row;
-# None outside a call.  A context variable, so a caller's threads that run
-# the same predicates never see another call's mask.
-_near_rows: contextvars.ContextVar = contextvars.ContextVar("near_rows", default=None)
+# The ufuncs of a traced program's comparison steps: ``SymbolicColumn``'s
+# < <= > and >=.
+_COMPARISONS = frozenset((np.less, np.less_equal, np.greater, np.greater_equal))
 
 
 class _NearTie(Exception):
@@ -146,24 +146,20 @@ class _NearTie(Exception):
 
 
 def _gap(a, b):
-    """Flags a comparison whose float sides are within ``_FLOAT_BAND``:
-    raises ``_NearTie`` on scalars, and inside ``decide_columns`` marks
-    the rows of columns where the gap a - b is that small."""
-    if isinstance(a, float) or isinstance(b, float):
-        if abs(a - b) <= _FLOAT_BAND:
-            raise _NearTie
-    elif (near := _near_rows.get()) is not None:
-        near |= abs(a - b) <= _FLOAT_BAND
+    """Raises ``_NearTie`` when a float side is within ``_FLOAT_BAND`` of
+    the other."""
+    if (isinstance(a, float) or isinstance(b, float)) and abs(a - b) <= _FLOAT_BAND:
+        raise _NearTie
 
 
 def le(a, b):
-    """a <= b for scalars or numpy columns, near ties flagged by ``_gap``."""
+    """a <= b for scalars or numpy columns, a near scalar tie raised by ``_gap``."""
     _gap(a, b)
     return a <= b
 
 
 def lt(a, b):
-    """a < b for scalars or numpy columns, near ties flagged by ``_gap``."""
+    """a < b for scalars or numpy columns, a near scalar tie raised by ``_gap``."""
     _gap(a, b)
     return a < b
 
@@ -200,16 +196,22 @@ def decide_exactly(fn: Callable, values: Sequence[Number]):
 
 def decide_columns(fn: Callable, cols: Sequence[np.ndarray]):
     """``fn(*cols)`` on float columns (1-D arrays, or the rows of an (n, rows)
-    array), one tuple per row, with each row decided on the values it stores:
-    while ``fn`` runs, ``le``/``lt`` flag the rows with a comparison inside
-    ``_FLOAT_BAND``, and ``fn`` decides each flagged row i again on
-    ``Fraction(c[i])`` of every column c."""
-    near = np.zeros(len(cols[0]), dtype=bool)
-    token = _near_rows.set(near)
-    try:
-        result = fn(*cols)
-    finally:
-        _near_rows.reset(token)
+    array), one tuple per row, with each row decided on the values it stores.
+    It runs the program ``symbolic.trace`` records from ``fn``, flags the rows
+    where the sides of a comparison step are within ``_FLOAT_BAND``, and
+    decides each flagged row i again by ``fn`` on ``Fraction(c[i])`` of
+    every column c.  ``fn`` returns one mask and must be straight-line.
+    It is traced once per (fn, n), so pass the same function each time; a
+    module value it reads that is patched afterwards reaches it only after
+    ``symbolic.trace.cache_clear()``, as in ``mc``."""
+    program = trace((fn,), len(cols))
+    rows = len(cols[0])
+    calls, ((result,),) = program.bind(cols, [np.empty(rows, d) for d in program.slots])
+    near = np.zeros(rows, dtype=bool)
+    for ufunc, args in calls:
+        if ufunc in _COMPARISONS:
+            near |= abs(args[0] - args[1]) <= _FLOAT_BAND
+        ufunc(*args)
     for i in np.flatnonzero(near).tolist():
         result[i] = fn(*[Fraction(c[i]) for c in cols])
     return result

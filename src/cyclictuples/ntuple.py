@@ -14,10 +14,10 @@ written with + - * and comparisons joined by & and |, every comparison
 going through ``core.le``/``core.lt``, and pi_n taking the kind of the
 coordinates from ``core.constant``.  So
 ``core.in_region`` and ``decide_ntuple`` decide them on exact scalar
-values, ``core.decide_columns`` decides them exactly on numpy columns
-(``checks.symmetry``), and ``mc`` counts their float masks with the
-programs ``symbolic.trace`` records from them (``pn_bracket`` counts
-``certificates``).
+values, and ``symbolic.trace`` records them as programs: ``mc`` counts
+their float masks with these (``pn_bracket`` counts ``certificates``),
+and ``core.decide_columns`` decides them exactly on numpy columns
+(``checks.symmetry``).
 """
 
 from __future__ import annotations

@@ -116,7 +116,8 @@ class Program:
         return calls, tuple(tuple(views[i] for i in masks) for masks in self.outputs)
 
 
-# Programs kept: the estimate benchmark's 16 (target, dim) keys, with room.
+# Programs kept: the estimate benchmark's 16 (target, dim) keys, or the 22
+# programs of a report, with room.
 # A program holds about 220 bytes a step: 2.0 MB for pn_bracket at n = 1024.
 @functools.lru_cache(maxsize=32)
 def trace(fns: tuple, n: int) -> Program:

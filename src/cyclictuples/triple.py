@@ -264,16 +264,9 @@ def density_stats(which: str) -> dict[str, float]:
     return {"mean": mean, "median": median, "mode": best_x}
 
 
-def unrestricted_min_density(x: float) -> float:
-    """Density 3(1-x)^2 of the smallest coordinate of an unrestricted
-    uniform random triple, the comparison baseline for f1."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"abscissa {x} outside [0, 1]")
-    return 3.0 * (1.0 - x) ** 2
-
-
 def unrestricted_min_stats() -> dict[str, float]:
-    """Mean 1/4 and median 1 - 2**(-1/3) of the unrestricted baseline."""
+    """Mean 1/4 and median 1 - 2**(-1/3) of the smallest coordinate of an
+    unrestricted uniform random triple, density 3(1-x)^2: the baseline for f1."""
     return {"mean": 0.25, "median": 1.0 - 2.0 ** (-1.0 / 3.0)}
 
 

@@ -83,6 +83,15 @@ def test_symmetry_decides_boundary_triples_exactly(monkeypatch):
     assert got["pass"]
 
 
+def test_symmetry_traces_its_programs_once():
+    # decide_columns traces per function: each complemented predicate is
+    # one function, not one per block or per call
+    checks.symmetry(2000, 7)
+    misses = symbolic.trace.cache_info().misses
+    checks.symmetry(2000, 7)
+    assert symbolic.trace.cache_info().misses == misses
+
+
 def test_shifted_pi_n_threshold_makes_bracket_inconsistent(monkeypatch):
     # A necessity test 0.01 below pi_n calls too many tuples not cyclic: the
     # loose bounds still hold, the upper end's exact test does not.

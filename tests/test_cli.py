@@ -483,7 +483,7 @@ class TestReportFailures:
     def test_ntuple_verdict_changed_by_complement(self, capsys, monkeypatch):
         def by_sum(*xs):  # never Unknown, invariant under rotation and reverse
             below = sum(xs) < len(xs) / 2
-            return 1 * below - 1 * ~below
+            return 2 * below - 1
         monkeypatch.setattr(ntuple, "status_code", by_sum)
         code, data = self.report(capsys)
         sym = data["symmetry"]

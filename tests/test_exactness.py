@@ -3,6 +3,7 @@ values of the same coordinates, floats included, even on the boundaries
 where float arithmetic alone rounds the wrong way."""
 
 import math
+import operator
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclictuples import checks, core, mc, ntuple, symbolic, triple
-from cyclictuples.core import Status, as_tuple, complement, decide_columns, decide_exactly, in_region, le
+from cyclictuples.core import Status, as_tuple, complement, decide_columns, decide_exactly, in_region, le, lt
 from cyclictuples.ntuple import decide_ntuple
 from cyclictuples.triple import is_cyclic_triple
+import test_predicates
 
 TRIPLE_PREDICATES = [
     triple.cyclic,
@@ -310,8 +312,7 @@ def test_columns_decide_near_tie_ntuples_exactly(n, complemented):
 def test_near_mask_belongs_to_its_call():
     # A caller may run the same predicates on threads of its own, so the
     # near mask is per call: concurrent calls on threads, switching often,
-    # each get their own rows' verdicts, and a thread outside any call sees
-    # no mask.
+    # each get their own rows' verdicts.
     values = [_boundary_rows(count, count) for count in (300, 301, 302, 303)]
     alone = [_decide_columns(triple.cyclic, v, False)[0].tolist() for v in values]
     interval = sys.getswitchinterval()
@@ -319,11 +320,63 @@ def test_near_mask_belongs_to_its_call():
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
             futures = [pool.submit(_decide_columns, triple.cyclic, v, False) for v in values * 3]
-            outside = pool.submit(lambda: core._near_rows.get()).result(timeout=60)
             got = [f.result(timeout=60)[0].tolist() for f in futures]
     finally:
         sys.setswitchinterval(interval)
-    assert got == alone * 3 and outside is None
+    assert got == alone * 3
+
+
+def _sum_le_one(a, b):
+    return le(a + b, 1)
+
+
+def _one_le_sum(a, b):
+    return le(1, a + b)
+
+
+def _sum_lt_one(a, b):
+    return lt(a + b, 1)
+
+
+def _one_lt_sum(a, b):
+    return lt(1, a + b)
+
+
+# 0.1 + 0.9 rounds down to 1 and 0.75 + (0.25 - 2**-55) rounds up to 1, so
+# each of the four comparisons, one comparison ufunc each, errs on one row.
+NEAR_ONE_ROWS = np.array([(0.1, 0.9), (0.75, np.nextafter(0.25, 0.0)), (0.3, 0.3)])
+
+
+@pytest.mark.parametrize("pred", [_sum_le_one, _one_le_sum, _sum_lt_one, _one_lt_sum], ids=lambda p: p.__name__)
+def test_columns_check_every_comparison_ufunc(pred):
+    exact_mask, float_mask = _decide_columns(pred, NEAR_ONE_ROWS, False)
+    want = [bool(pred(*map(Fraction, row))) for row in NEAR_ONE_ROWS.tolist()]
+    assert exact_mask.tolist() == want
+    assert sum(f != w for f, w in zip(float_mask.tolist(), want)) == 1
+
+
+def test_comparison_steps_are_the_traced_comparisons():
+    recorded = {
+        symbolic.trace.__wrapped__((lambda x, y, op=op: op(x, y),), 2).steps[0][0]
+        for op in (operator.lt, operator.le, operator.gt, operator.ge)
+    }
+    assert core._COMPARISONS == recorded
+
+
+@pytest.mark.parametrize("pred", test_predicates.TRIPLE_PREDICATES, ids=lambda p: p.__name__)
+def test_columns_equal_in_region_on_boundary_triples(pred):
+    rows = _boundary_rows(600, 11)
+    for values in (rows, np.sort(rows, axis=1)):
+        got = decide_columns(pred, np.ascontiguousarray(values.T))
+        assert got.tolist() == [in_region(row, pred) for row in values.tolist()]
+
+
+@pytest.mark.parametrize("n", [4, 5, 8])
+@pytest.mark.parametrize("pred", test_predicates.NTUPLE_PREDICATES, ids=lambda p: p.__name__)
+def test_columns_equal_in_region_on_near_tie_ntuples(pred, n):
+    values = _near_tie_ntuples(n, 300, n)
+    got = decide_columns(pred, np.ascontiguousarray(values.T))
+    assert got.tolist() == [in_region(row, pred) for row in values.tolist()]
 
 
 # The proof of core._FLOAT_BAND assumes that every comparison is made by
@@ -334,8 +387,6 @@ def test_near_mask_belongs_to_its_call():
 # and an interval that holds its value: a shape is a tuple of terms, a term
 # a tuple of factors (j, c) for x_j, or 1 - x_j when c is True; a constant
 # has the shape ().  Step k of a program computes node inputs + k.
-
-_COMPARISONS = (np.less, np.less_equal, np.greater, np.greater_equal)
 
 
 def _operand(views, a):
@@ -373,7 +424,7 @@ def _walk(program, compared):
             views[out] = None
             continue
         a, b = (_operand(views, a) for a in args)
-        if ufunc in _COMPARISONS:
+        if ufunc in core._COMPARISONS:
             # the float pass rounds every coordinate, so even a comparison of
             # two coordinates is exact only through le/lt
             assert program.inputs + k in compared, f"step {k} compares outside le/lt"

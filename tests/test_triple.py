@@ -36,7 +36,6 @@ from cyclictuples.triple import (
     nontransitive,
     ordered_cyclic,
     sample_ordered_cyclic,
-    unrestricted_min_density,
     unrestricted_min_stats,
 )
 
@@ -296,10 +295,6 @@ class TestDensityStats:
         s = unrestricted_min_stats()
         assert s["mean"] == 0.25
         assert abs(s["median"] - (1 - 2 ** (-1 / 3))) <= 1e-12
-        assert unrestricted_min_density(0.0) == 3.0
-        assert unrestricted_min_density(1.0) == 0.0
-        with pytest.raises(ValueError):
-            unrestricted_min_density(1.5)
 
 
 class TestSampler:
