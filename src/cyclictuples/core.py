@@ -9,20 +9,21 @@ P(U_{i+1} > U_i) = x_i around the cycle (indices modulo n).  It is
 Number handling: a verdict on a scalar tuple is a statement about the exact
 value of its coordinates, a float being the dyadic rational it stores.  The
 region predicates compare coordinates and computed expressions only through
-``le``/``lt``.  ``decide_exactly`` first runs a predicate on each
+``le``/``lt``, and their thresholds (1/2, pi_n) are plain floats that are
+only compared.  ``decide_exactly`` first runs a predicate on each
 coordinate rounded once to float, whatever its kind; ``le``/``lt`` raise
-``_NearTie`` when a float comparison falls inside ``_FLOAT_BAND``, and only
-then is the predicate run again on the Fractions of the original values,
-where ``le``/``lt`` are exact.  A constant meets the coordinates in the
-kind ``constant`` gives it.  ``symbolic.trace`` runs predicates on
-``SymbolicColumn``s, beside which ``constant`` gives a 0-d array, and
-records what they compute as a program of ufunc calls, the same as the
-predicates give on float columns.  ``mc`` and the sampler run such
-programs to count float masks.  ``decide_columns`` runs one to decide
-numpy columns exactly: it flags the rows where a comparison step's sides
-fall inside the band, and decides only those rows again on their exact
-values.  ``le``/``lt`` pass numpy columns straight through.  Volume and
-density paths work in ordinary binary floats.
+``_NearTie`` when both sides are Python floats or ints within
+``_FLOAT_BAND``, and only then is the predicate run again on the Fractions
+of the original values, where a side is a Fraction and ``le``/``lt``
+compare exactly, a float threshold included.  ``symbolic.trace`` runs
+predicates on ``SymbolicColumn``s and records what they compute as a
+program of ufunc calls, the same as the predicates give on float columns.
+``mc`` and the sampler run such programs to count float masks.
+``decide_columns`` runs one to decide numpy columns exactly: it flags the
+rows where a comparison step's sides fall inside the band, and decides
+only those rows again on their exact values.  ``le``/``lt`` pass numpy
+columns straight through.  Volume and density paths work in ordinary
+binary floats.
 All types here are immutable and safe to share across workers.
 
 Witness arithmetic runs on integers.  A ``DiscreteDist`` stores its points
@@ -42,7 +43,6 @@ and in all the numerators a witness file's distributions store.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import reprlib
 from collections import Counter
@@ -52,7 +52,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .symbolic import SymbolicColumn, trace
+from .symbolic import trace
 
 Number = Union[int, float, Fraction]
 
@@ -121,7 +121,8 @@ _STATUS = {
 # complement by u/2 + u/2 = u.  A product of two factors, each in [0, 1] and
 # off by at most u, is off by at most u + u + u/2 = 2.5u; a sum of a factor
 # and a product by at most u + 2.5u + u = 4.5u, and a sum of two products by
-# 2.5u + 2.5u + u = 6u.  A constant is exact in both passes.  So both sides
+# 2.5u + 2.5u + u = 6u.  A constant is exact in both passes (the exact pass
+# compares a Fraction with a float threshold exactly).  So both sides
 # together err by at most 12u, and rounding the gap a - b adds at most u:
 # 13u < 2**-48.  A gap whose float value exceeds _FLOAT_BAND therefore has
 # the same sign in exact arithmetic.  ``decide_columns`` tests the same
@@ -145,10 +146,15 @@ class _NearTie(Exception):
     """A float comparison fell inside ``_FLOAT_BAND``; decide it exactly."""
 
 
+# The kinds of both sides of a comparison in the float pass of ``decide_exactly``.
+_FLOAT_PASS = frozenset((float, int))
+
+
 def _gap(a, b):
-    """Raises ``_NearTie`` when a float side is within ``_FLOAT_BAND`` of
-    the other."""
-    if (isinstance(a, float) or isinstance(b, float)) and abs(a - b) <= _FLOAT_BAND:
+    """Raises ``_NearTie`` when both sides are Python floats or ints (the
+    float pass of ``decide_exactly``) within ``_FLOAT_BAND`` of each other.
+    A Fraction side compares exactly, and a column side is passed through."""
+    if type(a) in _FLOAT_PASS and type(b) in _FLOAT_PASS and abs(a - b) <= _FLOAT_BAND:
         raise _NearTie
 
 
@@ -162,23 +168,6 @@ def lt(a, b):
     """a < b for scalars or numpy columns, a near scalar tie raised by ``_gap``."""
     _gap(a, b)
     return a < b
-
-
-_fraction = functools.cache(Fraction)
-
-
-def constant(value: float, like):
-    """The float ``value`` in the kind that ``le``/``lt`` compare with the
-    coordinate ``like``: a float beside floats (the float pass of
-    ``decide_exactly``), a cached Fraction beside Fractions (its exact
-    pass, where a float side would be flagged again), a 0-d array beside
-    numpy columns (a float never meets a column in ``le``/``lt``) and
-    beside symbolic ones, which take its operators."""
-    if isinstance(like, Fraction):
-        return _fraction(value)
-    if isinstance(like, (np.ndarray, SymbolicColumn)):
-        return np.array(value)
-    return value
 
 
 def decide_exactly(fn: Callable, values: Sequence[Number]):

@@ -11,13 +11,12 @@ The D-regions (``d_i``, ``d_ii``, ``d_star``), the pi_n necessity tests
 (``min_above_pi_n``, ``max_below_one_minus_pi_n``), the n >= 4
 ``certificates`` and ``status_code`` are predicates of the coordinates
 written with + - * and comparisons joined by & and |, every comparison
-going through ``core.le``/``core.lt``, and pi_n taking the kind of the
-coordinates from ``core.constant``.  So
-``core.in_region`` and ``decide_ntuple`` decide them on exact scalar
-values, and ``symbolic.trace`` records them as programs: ``mc`` counts
-their float masks with these (``pn_bracket`` counts ``certificates``),
-and ``core.decide_columns`` decides them exactly on numpy columns
-(``checks.symmetry``).
+going through ``core.le``/``core.lt``, and the pi_n thresholds plain
+floats that are only compared.  So ``core.in_region`` and ``decide_ntuple``
+decide them on exact scalar values, and ``symbolic.trace`` records them as
+programs: ``mc`` counts their float masks with these (``pn_bracket`` counts
+``certificates``), and ``core.decide_columns`` decides them exactly on
+numpy columns (``checks.symmetry``).
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .core import (
     Verdict,
     WitnessSystem,
     as_tuple,
-    constant,
     decide_exactly,
     le,
     lt,
@@ -114,13 +112,13 @@ def d_star(*xs):
 
 def min_above_pi_n(*xs):
     """Every coordinate exceeds pi_n, so the tuple is not cyclic."""
-    t = constant(_pi_n_upper(len(xs)), xs[0])
+    t = _pi_n_upper(len(xs))
     return _all(lt(t, x) for x in xs)
 
 
 def max_below_one_minus_pi_n(*xs):
     """Every coordinate is below 1 - pi_n, so the tuple is not cyclic."""
-    t = constant(1.0 - _pi_n_upper(len(xs)), xs[0])  # exact: pi_n >= 1/2
+    t = 1.0 - _pi_n_upper(len(xs))  # exact: pi_n >= 1/2
     return _all(lt(x, t) for x in xs)
 
 

@@ -5,9 +5,10 @@ masks of region predicates, recorded by running the predicates once.
 Each operator the predicates use records the ufunc call numpy would make
 for it, so the ``Program`` it returns computes every mask bit for bit as
 the predicate does on float columns, and no region is written here.  A
-program runs with out= into slots of a workspace that
-``rng.BlockBuffers.run`` keeps, so a block of ``mc`` or of the sampler
-allocates no array.
+float constant that a predicate compares with, such as the threshold 1/2,
+is kept in the program as a 0-d array.  A program runs with out= into
+slots of a workspace that ``rng.BlockBuffers.run`` keeps, so a block of
+``mc`` or of the sampler allocates no array.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ class SymbolicColumn:
     """A column that a region predicate computes while ``trace`` runs it:
     each operator the predicates use (+ - * & | and the comparisons)
     records the ufunc that numpy would call for it and returns the column
-    it computes.  ``__array_ufunc__ = None`` hands the operators of a 0-d
-    array constant (``core.constant``) to the column.  A truth test raises
-    TypeError: a predicate that branches on its data has no straight-line
-    program."""
+    it computes.  ``__array_ufunc__ = None`` makes a numpy operand defer to
+    the column, whose reflected operator records the call, rather than
+    build an object array of columns.  A truth test raises TypeError: a
+    predicate that branches on its data has no straight-line program."""
 
     __array_ufunc__ = None
     __slots__ = ("_tracer", "node")
@@ -54,10 +55,8 @@ class SymbolicColumn:
 
 
 def _constant_key(value):
-    """A constant operand as a dict key: a Python int, float or bool, or a
-    0-d array, with its type, so that 1 and 1.0 stay apart."""
-    if isinstance(value, np.ndarray) and value.ndim == 0:
-        return (np.ndarray, value.dtype.str, value.item())
+    """A constant operand as a dict key: a Python int, float or bool, with
+    its type, so that 1 and 1.0 stay apart."""
     if type(value) in (bool, int, float):
         return (type(value), value)
     raise TypeError(f"a traced column cannot meet {type(value).__name__}")
@@ -81,7 +80,12 @@ class _Tracer:
         )
         node = self._nodes.get(key)
         if node is None:
-            args = tuple(a.node if isinstance(a, SymbolicColumn) else (a,) for a in operands)
+            # a float constant is kept as a 0-d array, which a ufunc reads
+            # faster than a Python float
+            args = tuple(
+                a.node if isinstance(a, SymbolicColumn) else (np.array(a) if type(a) is float else a,)
+                for a in operands
+            )
             self.probes.append(ufunc(*[self.probes[a] if type(a) is int else a[0] for a in args]))
             node = self._nodes[key] = self.n + len(self.steps)
             self.steps.append((ufunc, args))

@@ -14,9 +14,9 @@ cyclic triple, their summary statistics, and a rejection sampler.
 Each region is written once, here, as a predicate of (x, y, z): ``cyclic``
 (from ``trybula``), ``nontransitive``, ``c3_i``, ``c3_ii`` and
 ``ordered_cyclic``.  They use only + - * and comparisons joined by & and |,
-every comparison made by ``core.le``/``core.lt`` and 1/2 given by
-``core.constant``, so one function decides scalars of every kind exactly in
-``is_cyclic_triple`` and ``in_region``, and numpy columns, and
+every comparison made by ``core.le``/``core.lt``, and 1/2 is the float 0.5,
+which is only compared.  So one function decides scalars of every kind
+exactly in ``is_cyclic_triple`` and ``in_region``, and numpy columns, and
 ``symbolic.trace`` records it as the program that the sampler and ``mc`` run.
 
 The criterion is invariant under all six permutations of (x, y, z), so the
@@ -45,8 +45,8 @@ from .core import (
     Reason,
     Verdict,
     as_tuple,
-    constant,
     decide_exactly,
+    in_region,
     le,
     lt,
 )
@@ -80,8 +80,7 @@ def cyclic(x, y, z):
 
 def nontransitive(x, y, z):
     """The nontransitive region C3*: cyclic with every coordinate above 1/2."""
-    half = constant(0.5, x)
-    return cyclic(x, y, z) & lt(half, x) & lt(half, y) & lt(half, z)
+    return cyclic(x, y, z) & lt(0.5, x) & lt(0.5, y) & lt(0.5, z)
 
 
 def c3_i(x, y, z):
@@ -89,7 +88,7 @@ def c3_i(x, y, z):
     quotients (y <= (1-x)/x becomes x*y <= 1-x) and x <= OMEGA is written
     x*x + x <= 1, so no constant is rounded."""
     return (
-        lt(constant(0.5, x), x)
+        lt(0.5, x)
         & le(x * x + x, 1)
         & le(x, y)
         & le(x * y, 1 - x)
@@ -100,11 +99,10 @@ def c3_i(x, y, z):
 
 def c3_ii(x, y, z):
     """C3_II: cyclic, x < 1/2 < y, z."""
-    half = constant(0.5, x)
     return (
-        lt(x, half)
-        & lt(half, z)
-        & ((lt(half, y) & le(y, 1 - x)) | (lt(1 - x, y) & le(y * z, 1 - x)))
+        lt(x, 0.5)
+        & lt(0.5, z)
+        & ((lt(0.5, y) & le(y, 1 - x)) | (lt(1 - x, y) & le(y * z, 1 - x)))
     )
 
 
@@ -153,7 +151,7 @@ def is_cyclic_triple(t: ProbTuple | Sequence[Number]) -> Verdict:
 
 def is_nontransitive_triple(t: ProbTuple | Sequence[Number]) -> bool:
     """Cyclic with every coordinate strictly above 1/2."""
-    return bool(decide_exactly(nontransitive, _as_triple(t).values))
+    return in_region(_as_triple(t), nontransitive)
 
 
 def exact_volumes() -> dict[str, float]:

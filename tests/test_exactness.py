@@ -216,6 +216,92 @@ def test_exact_pass_sees_the_original_values():
     assert seen[1] == (Fraction(1, 3), Fraction(2, 3))
 
 
+# le/lt tell the two passes of decide_exactly apart by the kinds of both
+# sides: only two Python floats or ints (the float pass) are checked against
+# the band; a Fraction (the exact pass) compares exactly with a float
+# threshold, and a numpy column passes straight through.
+COMPARE = [(le, operator.le), (lt, operator.lt)]
+FLOAT_PASS_TIES = [
+    (0.5, 0.5),
+    (0.3, math.nextafter(0.3, 1.0)),
+    (0.5, 0.5 + core._FLOAT_BAND),
+    (ntuple._pi_n_upper(4), math.nextafter(ntuple._pi_n_upper(4), 0.0)),
+    (1, 1.0),
+    (1, math.nextafter(1.0, 0.0)),
+    (1, 1.0 + 2.0**-52),
+]
+
+
+@pytest.mark.parametrize("compare", [le, lt], ids=["le", "lt"])
+def test_float_pass_sides_within_the_band_raise(compare):
+    for a, b in FLOAT_PASS_TIES:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(core._NearTie):
+                compare(x, y)
+
+
+@pytest.mark.parametrize("compare, op", COMPARE, ids=["le", "lt"])
+@pytest.mark.parametrize(
+    "threshold, tiny", [(0.5, Fraction(1, 2**70)), (ntuple._pi_n_upper(4), Fraction(1, 2**80))], ids=["half", "pi_4"]
+)
+def test_fraction_beside_a_float_threshold_compares_exactly(compare, op, threshold, tiny):
+    exact = Fraction(threshold)
+    for v in (exact - tiny, exact, exact + tiny):
+        for a, b in ((threshold, v), (v, threshold)):
+            assert compare(a, b) is op(Fraction(a), Fraction(b)), (a, b)
+
+
+@pytest.mark.parametrize("compare, op", COMPARE, ids=["le", "lt"])
+def test_column_beside_a_float_threshold_is_the_plain_mask(compare, op):
+    col = np.array([0.25, 0.5, 0.5 + core._FLOAT_BAND, 0.75])
+    for a, b in ((col, 0.5), (0.5, col)):
+        got = compare(a, b)
+        assert got.dtype == np.bool_ and got.tolist() == op(a, b).tolist()
+
+
+def _float_sides(n):
+    """The float sides a predicate may compare with on Fraction input."""
+    return {0.5, ntuple._pi_n_upper(n), 1.0 - ntuple._pi_n_upper(n)}
+
+
+def _recording(compare, sides):
+    def recorded(a, b):
+        sides.extend((a, b))
+        return compare(a, b)
+
+    return recorded
+
+
+SIDE_CASES = [(p, 3) for p in test_predicates.TRIPLE_PREDICATES] + [
+    (p, n)
+    for p in test_predicates.NTUPLE_PREDICATES + [ntuple.certificates, ntuple.status_code]
+    for n in (4, 5, 8)
+]
+
+
+@pytest.mark.parametrize("pred, n", SIDE_CASES, ids=[f"{p.__name__}-{n}" for p, n in SIDE_CASES])
+def test_exact_pass_compares_fractions_with_thresholds_only(monkeypatch, pred, n):
+    # a float computed from a Fraction would make the exact pass inexact:
+    # on Fraction input every side is a Fraction, an int or a threshold
+    sides = []
+    for module in (triple, ntuple):  # each imports le and lt by name
+        for name in ("le", "lt"):
+            monkeypatch.setattr(module, name, _recording(getattr(module, name), sides))
+    rand = np.random.default_rng(n)
+    rows = [[Fraction(3, 5)] * n, [Fraction(99, 100)] * n, [Fraction(1, 100)] * n]
+    rows += [[Fraction(int(k), 1000) for k in rand.integers(0, 1001, n)] for _ in range(20)]
+    for row in rows:
+        pred(*row)
+    assert sides
+    floats = {v for v in sides if type(v) is float}
+    assert floats <= _float_sides(n), floats - _float_sides(n)
+    assert all(type(v) in (Fraction, int, float) for v in sides)
+    if pred in (triple.nontransitive, triple.c3_i, triple.c3_ii):
+        assert 0.5 in floats
+    if pred in (ntuple.min_above_pi_n, ntuple.max_below_one_minus_pi_n, ntuple.certificates):
+        assert floats
+
+
 @settings(max_examples=1000, deadline=None)
 @given(st.one_of(st.lists(unit, min_size=3, max_size=8), boundary_triples(), near_one_sum_tuples()))
 def test_complement_keeps_verdict(values):

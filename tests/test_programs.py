@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cyclictuples import mc, ntuple, rng, symbolic, triple
+from cyclictuples import checks, core, mc, ntuple, rng, symbolic, triple
 from cyclictuples.mc import EstimatorSpec, estimate
 from test_predicates import _rows
 
@@ -135,6 +135,29 @@ def test_traced_column_refuses_other_operands():
         symbolic.trace((lambda x: x < "0.5",), 1)
     with pytest.raises(TypeError):
         symbolic.trace((lambda x: 0.5,), 1)  # a mask that is not a column
+
+
+CONSTANT_CASES = [
+    (name, fn, n) for name, (low, fn) in mc.TARGETS.items() for n in ([3] if low is None else [low, 8])
+] + [("complemented status_code", checks._complemented(ntuple.status_code), n) for n in (4, 8)]
+
+
+@pytest.mark.parametrize("name, fn, n", CONSTANT_CASES, ids=[f"{name}-{n}" for name, _, n in CONSTANT_CASES])
+def test_constants_are_ints_or_0d_float_arrays(name, fn, n):
+    # the tracer stores a float constant (a threshold) as a 0-d array, the
+    # operand numpy's ufuncs read fastest; an int stays an int
+    program = symbolic.trace.__wrapped__((fn,), n)
+    constants = [a[0] for _, args, _ in program.steps for a in args if type(a) is not int]
+    assert constants
+    for c in constants:
+        assert type(c) is int or (type(c) is np.ndarray and c.shape == () and c.dtype == np.float64), repr(c)
+
+
+def test_traced_column_refuses_a_0d_array():
+    # thresholds are plain floats: a 0-d array met while tracing is a mistake
+    for fn in (lambda x: core.lt(np.array(0.5), x), lambda x: x < np.array(0.5), lambda x: x + np.array(1.0)):
+        with pytest.raises(TypeError, match="cannot meet ndarray"):
+            symbolic.trace.__wrapped__((fn,), 1)
 
 
 def test_programs_are_traced_once_per_targets_and_width():
